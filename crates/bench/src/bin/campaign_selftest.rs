@@ -141,7 +141,6 @@ fn main() {
         mixes_per_group: 1,
         max_cycles: u64::MAX,
         threads: 1,
-        checkpoints: false,
         sample: None,
     };
     let full_insts = scale.insts;

@@ -85,8 +85,7 @@ fn usage() -> ! {
          \x20    in the report. Overrides CROW_SAMPLE env\n\
          \n\
          env: CROW_THREADS=N runs one shard worker per channel group\n\
-         \x20    (bit-identical reports); CROW_CHECKPOINTS=1 caches warmed\n\
-         \x20    architectural state under results/checkpoints/"
+         \x20    (bit-identical reports)"
     );
     std::process::exit(2);
 }
@@ -219,13 +218,7 @@ fn parse_mechanism(s: &str) -> Mechanism {
 /// budget, and journaled under `results/campaign/simulate.jsonl` so
 /// `--resume` restores the result instead of re-running. Returns the
 /// report and whether it was restored from the journal.
-fn run_supervised<F>(
-    args: &Args,
-    scale: Scale,
-    names: Vec<String>,
-    cfg: SystemConfig,
-    build: F,
-) -> (SimReport, bool)
+fn run_supervised<F>(args: &Args, scale: Scale, cfg: SystemConfig, build: F) -> (SimReport, bool)
 where
     F: Fn(SystemConfig) -> Result<System, crow_sim::CrowError> + Send + Sync + 'static,
 {
@@ -294,22 +287,9 @@ where
         cfg.cpu.target_insts = scale.insts;
         cfg.threads = scale.threads;
         cfg.sample = scale.sample;
-        let mut sys = build(cfg.clone())?;
+        let mut sys = build(cfg)?;
         if scale.warmup > 0 {
-            if scale.checkpoints {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let out = crow_sim::warm_via_cache(
-                    &mut sys,
-                    || build(cfg).expect("a system that built once builds again"),
-                    &refs,
-                    scale.warmup,
-                );
-                if let Some(e) = out.error {
-                    eprintln!("warning: {e} (ran a cold warmup instead)");
-                }
-            } else {
-                sys.warm(scale.warmup);
-            }
+            sys.warm(scale.warmup);
         }
         let r = sys.run_checked(u64::MAX)?;
         if oracle {
@@ -348,9 +328,9 @@ where
 
 fn main() {
     let args = parse_args();
-    // `CROW_THREADS`/`CROW_CHECKPOINTS` ride the environment scale; the
-    // CLI flags keep owning the per-run knobs (insts, warmup). Malformed
-    // env is a diagnostic exit, never a silent default.
+    // `CROW_THREADS` rides the environment scale; the CLI flags keep
+    // owning the per-run knobs (insts, warmup). Malformed env is a
+    // diagnostic exit, never a silent default.
     let env_scale = Scale::from_env().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -370,7 +350,6 @@ fn main() {
         mixes_per_group: 1,
         max_cycles: u64::MAX,
         threads: env_scale.threads,
-        checkpoints: env_scale.checkpoints,
         sample,
     };
     let mech = parse_mechanism(&args.mechanism);
@@ -468,27 +447,14 @@ fn main() {
     let supervised = args.timeout.is_some() || args.retries.is_some() || args.resume;
     let start = std::time::Instant::now();
     let (r, restored) = if supervised {
-        run_supervised(&args, scale, names.clone(), cfg, build)
+        run_supervised(&args, scale, cfg, build)
     } else {
-        let mut sys = build(cfg.clone()).unwrap_or_else(|e| {
+        let mut sys = build(cfg).unwrap_or_else(|e| {
             eprintln!("simulate: {e}");
             std::process::exit(1);
         });
         if args.warmup > 0 {
-            if scale.checkpoints {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let out = crow_sim::warm_via_cache(
-                    &mut sys,
-                    || build(cfg).expect("a system that built once builds again"),
-                    &refs,
-                    args.warmup,
-                );
-                if let Some(e) = out.error {
-                    eprintln!("warning: {e} (ran a cold warmup instead)");
-                }
-            } else {
-                sys.warm(args.warmup);
-            }
+            sys.warm(args.warmup);
         }
         let r = sys.run_checked(u64::MAX).unwrap_or_else(|e| {
             eprintln!("simulate: {e}");

@@ -14,8 +14,6 @@ use crate::system::System;
 /// * `CROW_MIXES` — mixes per four-core group (default 3, paper uses 20);
 /// * `CROW_THREADS` — shard worker threads per simulation (default 1,
 ///   the serial engine; reports are bit-identical at any value);
-/// * `CROW_CHECKPOINTS` — `1`/`true` caches post-warmup architectural
-///   state under `results/checkpoints/` (default off);
 /// * `CROW_SAMPLE` (+ `CROW_SAMPLE_WINDOW`/`_WARMUP`/`_FF`) — interval
 ///   sampling with per-window confidence intervals (default off); see
 ///   [`crate::sampling::SamplePlan::from_env`].
@@ -35,8 +33,6 @@ pub struct Scale {
     pub max_cycles: u64,
     /// Worker threads for the sharded per-channel engine (1 = serial).
     pub threads: u32,
-    /// Whether to reuse warm architectural checkpoints.
-    pub checkpoints: bool,
     /// Interval-sampling schedule (`None` = full detailed runs); see
     /// [`crate::sampling::SamplePlan`] and the `CROW_SAMPLE*` knobs.
     pub sample: Option<crate::sampling::SamplePlan>,
@@ -66,19 +62,6 @@ impl Scale {
                 }),
             }
         };
-        let checkpoints = match lookup("CROW_CHECKPOINTS") {
-            None => false,
-            Some(v) => match v.trim() {
-                "0" | "false" => false,
-                "1" | "true" => true,
-                _ => {
-                    return Err(CrowError::Config(crow_dram::ConfigError::new(
-                        "Scale",
-                        format!("CROW_CHECKPOINTS={v:?} is not 0/1/true/false"),
-                    )))
-                }
-            },
-        };
         let scale = Self {
             insts: get("CROW_INSTS", 400_000)?,
             warmup: get("CROW_WARMUP", 50_000)?,
@@ -90,20 +73,21 @@ impl Scale {
                     "CROW_THREADS does not fit in 32 bits",
                 ))
             })?,
-            checkpoints,
             sample: crate::sampling::SamplePlan::from_lookup(&lookup)?,
         };
-        if scale.insts == 0 {
-            return Err(CrowError::Config(crow_dram::ConfigError::new(
-                "Scale",
-                "CROW_INSTS must be positive",
-            )));
-        }
-        if scale.threads == 0 {
-            return Err(CrowError::Config(crow_dram::ConfigError::new(
-                "Scale",
-                "CROW_THREADS must be positive",
-            )));
+        // A zero count is as malformed as a non-number: zero mixes
+        // would average an empty group into NaN speedups.
+        for (k, v) in [
+            ("CROW_INSTS", scale.insts),
+            ("CROW_MIXES", scale.mixes_per_group as u64),
+            ("CROW_THREADS", u64::from(scale.threads)),
+        ] {
+            if v == 0 {
+                return Err(CrowError::Config(crow_dram::ConfigError::new(
+                    "Scale",
+                    format!("{k} must be positive"),
+                )));
+            }
         }
         Ok(scale)
     }
@@ -116,18 +100,17 @@ impl Scale {
             mixes_per_group: 1,
             max_cycles: 50_000_000,
             threads: 1,
-            checkpoints: false,
             sample: None,
         }
     }
 
     /// A stable text fingerprint of the scale, embedded in campaign
     /// journal fingerprints so changing the scale invalidates journaled
-    /// results instead of silently reusing them. `threads` and
-    /// `checkpoints` are deliberately excluded: they change how fast a
-    /// result is produced, never what it is. A sampling plan *does*
-    /// change what a run reports, so it joins the fingerprint (and full
-    /// runs keep their historical fingerprints).
+    /// results instead of silently reusing them. `threads` is
+    /// deliberately excluded: it changes how fast a result is produced,
+    /// never what it is. A sampling plan *does* change what a run
+    /// reports, so it joins the fingerprint (and full runs keep their
+    /// historical fingerprints).
     pub fn fingerprint(&self) -> String {
         let mut fp = format!(
             "i{}w{}m{}c{}",
@@ -158,22 +141,9 @@ pub fn run_with_config(mut cfg: SystemConfig, apps: &[&AppProfile], scale: Scale
     cfg.cpu.target_insts = scale.insts;
     cfg.threads = scale.threads;
     cfg.sample = scale.sample;
-    let mut sys = System::new(cfg.clone(), apps);
+    let mut sys = System::new(cfg, apps);
     if scale.warmup > 0 {
-        if scale.checkpoints {
-            let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
-            let outcome = crate::checkpoint::warm_via_cache(
-                &mut sys,
-                || System::new(cfg, apps),
-                &names,
-                scale.warmup,
-            );
-            if let Some(e) = outcome.error {
-                eprintln!("warning: {e} (ran a cold warmup instead)");
-            }
-        } else {
-            sys.warm(scale.warmup);
-        }
+        sys.warm(scale.warmup);
     }
     sys.run(scale.max_cycles)
 }
@@ -274,18 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_parses_thread_and_checkpoint_knobs_strictly() {
-        let s = Scale::from_lookup(|_| None).unwrap();
-        assert_eq!((s.threads, s.checkpoints), (1, false), "defaults");
-        let s = Scale::from_lookup(|k| match k {
-            "CROW_THREADS" => Some("4".into()),
-            "CROW_CHECKPOINTS" => Some("true".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!((s.threads, s.checkpoints), (4, true));
-        let s = Scale::from_lookup(|k| (k == "CROW_CHECKPOINTS").then(|| " 0 ".into())).unwrap();
-        assert!(!s.checkpoints, "whitespace-tolerant like the integers");
+    fn scale_parses_count_knobs_strictly() {
+        assert_eq!(Scale::from_lookup(|_| None).unwrap().threads, 1, "default");
+        let s = Scale::from_lookup(|k| (k == "CROW_THREADS").then(|| "4".into())).unwrap();
+        assert_eq!(s.threads, 4);
         // Malformed values are configuration errors, never silent
         // fallbacks — the same contract as the integer knobs.
         for (k, v) in [
@@ -293,8 +255,7 @@ mod tests {
             ("CROW_THREADS", "0"),
             ("CROW_THREADS", "-2"),
             ("CROW_THREADS", "99999999999"),
-            ("CROW_CHECKPOINTS", "yes"),
-            ("CROW_CHECKPOINTS", "2"),
+            ("CROW_MIXES", "0"),
         ] {
             let err = Scale::from_lookup(|q| (q == k).then(|| v.into()))
                 .expect_err(&format!("{k}={v} must be rejected"))

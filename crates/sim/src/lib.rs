@@ -30,7 +30,6 @@
 //! ```
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod experiments;
@@ -48,7 +47,6 @@ pub mod system;
 pub use campaign::{
     Campaign, CampaignPolicy, JobOutcome, Journal, Journaled, OutcomeCounts, OutcomeKind,
 };
-pub use checkpoint::{warm_via_cache, CheckpointStats, WarmOutcome};
 pub use config::{Engine, Mechanism, SystemConfig};
 pub use error::CrowError;
 pub use experiments::{run_many, run_mix, run_single, run_with_config, Scale};

@@ -101,8 +101,8 @@ impl SamplePlan {
     }
 
     /// A stable text fingerprint, embedded in campaign/job fingerprints
-    /// and checkpoint descriptors so sampled and full runs (or two
-    /// different plans) never collide in a journal or cache.
+    /// so sampled and full runs (or two different plans) never collide
+    /// in a journal.
     pub fn fingerprint(&self) -> String {
         format!(
             "w{}h{}f{}",

@@ -311,7 +311,6 @@ impl SimJob {
             mixes_per_group: 1,
             max_cycles: u64::MAX,
             threads: 1,
-            checkpoints: false,
             sample: self.sample,
         }
     }
@@ -490,7 +489,6 @@ pub fn error_code(e: &CrowError) -> &'static str {
         CrowError::Trace(_) => "trace",
         CrowError::Protocol { .. } => "protocol",
         CrowError::Journal { .. } => "journal",
-        CrowError::Checkpoint { .. } => "checkpoint",
         CrowError::Quarantined { .. } => "quarantined",
         CrowError::ResourceLimit { .. } => "resource-limit",
     }

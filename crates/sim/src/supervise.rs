@@ -817,7 +817,6 @@ fn run_spec_from_stdin() -> Result<String, String> {
         mixes_per_group: 1,
         max_cycles: u64::MAX,
         threads: 1,
-        checkpoints: false,
         // The sampling plan rides the job document, not the envelope's
         // degrade ladder: a degraded attempt keeps the job's plan.
         sample: job.sample,

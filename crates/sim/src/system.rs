@@ -397,25 +397,6 @@ impl System {
         self.cluster.warm(instructions);
     }
 
-    /// Serializes the post-warmup architectural state (cores, page
-    /// tables, LLC) as opaque words, or `None` when the system has
-    /// already started timing simulation or a component cannot
-    /// checkpoint. Pair with [`System::restore_checkpoint_words`] on a
-    /// freshly built system of identical configuration.
-    pub fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        if self.cpu_cycle != 0 || self.mem_cycle != 0 {
-            return None;
-        }
-        self.cluster.checkpoint_words()
-    }
-
-    /// Restores warmup state captured by [`System::checkpoint_words`].
-    /// Returns `false` on malformed or mismatched words; the system must
-    /// then be rebuilt and warmed cold.
-    pub fn restore_checkpoint_words(&mut self, words: &[u64]) -> bool {
-        self.cpu_cycle == 0 && self.mem_cycle == 0 && self.cluster.restore_checkpoint_words(words)
-    }
-
     /// Direct access to the controllers (tests/diagnostics).
     pub fn controllers(&self) -> &[MemController] {
         &self.mcs

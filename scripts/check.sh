@@ -13,6 +13,12 @@ cargo test --workspace -q
 echo "== cargo test -q -p crow-sim (shadow protocol validator attached) =="
 CROW_VALIDATE=1 cargo test -q -p crow-sim
 
+echo "== benchmark build + tests (perfbench, its own workspace) =="
+# perfbench compiles against crates/* by path but sits outside this
+# workspace, so nothing above builds it: removing a public name it uses
+# would otherwise break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -53,14 +59,6 @@ echo "== parallel engine gate (serial vs 4-thread bit-exact) =="
 # produce a byte-identical report at 4 worker threads and serially.
 cargo build --release -p crow-bench --bin parallel_gate
 target/release/parallel_gate
-
-echo "== warm checkpoint gate (second pass restores every warmup) =="
-# A repeated-configuration campaign run twice against a fresh cache:
-# the second pass must be all hits with zero warmup instructions
-# re-simulated, bit-identical reports, and the checkpoint delta
-# recorded in the campaign's .summary.json.
-cargo build --release -p crow-bench --bin checkpoint_gate
-target/release/checkpoint_gate
 
 echo "== sampling gate (interval sampling: accuracy, speedup, determinism) =="
 # Statistical interval sampling contracts: sampled IPC within 2% of the

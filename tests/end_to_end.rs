@@ -74,7 +74,6 @@ fn combined_mechanism_beats_each_alone_on_dense_chips() {
         mixes_per_group: 1,
         max_cycles: 200_000_000,
         threads: 1,
-        checkpoints: false,
         sample: None,
     };
     let apps = [app("mcf")];
@@ -106,7 +105,6 @@ fn crow_ref_halves_refresh_rate_and_saves_energy_at_64gbit() {
         mixes_per_group: 1,
         max_cycles: 200_000_000,
         threads: 1,
-        checkpoints: false,
         sample: None,
     };
     let run = |mech| {
