@@ -137,5 +137,9 @@ fn main() {
         std::fs::write(format!("results/{name}.txt"), &text).ok();
         combined.push_str(&text);
     }
-    std::fs::write("results/all.txt", combined).ok();
+    // A filtered run holds only some sections, so it must not replace
+    // the full archive.
+    if only.is_none() {
+        std::fs::write("results/all.txt", combined).ok();
+    }
 }

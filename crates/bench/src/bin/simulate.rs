@@ -82,10 +82,7 @@ fn usage() -> ! {
          \x20    functional fast-forward and detailed measured windows.\n\
          \x20    SPEC is `default` or `WINDOW:WARMUP:FF` (instructions per\n\
          \x20    core); per-metric means and 95% confidence intervals land\n\
-         \x20    in the report. Overrides CROW_SAMPLE env\n\
-         \n\
-         env: CROW_THREADS=N runs one shard worker per channel group\n\
-         \x20    (bit-identical reports)"
+         \x20    in the report. Overrides CROW_SAMPLE env"
     );
     std::process::exit(2);
 }
@@ -285,7 +282,6 @@ where
     let outcomes = camp.run(vec![(job_fp, cfg)], move |cfg, scale| {
         let mut cfg = cfg.clone();
         cfg.cpu.target_insts = scale.insts;
-        cfg.threads = scale.threads;
         cfg.sample = scale.sample;
         let mut sys = build(cfg)?;
         if scale.warmup > 0 {
@@ -328,8 +324,8 @@ where
 
 fn main() {
     let args = parse_args();
-    // `CROW_THREADS` rides the environment scale; the CLI flags keep
-    // owning the per-run knobs (insts, warmup). Malformed env is a
+    // Only the sampling plan rides the environment scale; the CLI flags
+    // own the per-run knobs (insts, warmup). Malformed env is a
     // diagnostic exit, never a silent default.
     let env_scale = Scale::from_env().unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -349,8 +345,8 @@ fn main() {
         warmup: args.warmup,
         mixes_per_group: 1,
         max_cycles: u64::MAX,
-        threads: env_scale.threads,
         sample,
+        ..env_scale
     };
     let mech = parse_mechanism(&args.mechanism);
     let base = if args.ddr4 {
@@ -362,7 +358,6 @@ fn main() {
     cfg.channels = args.channels;
     cfg.seed = args.seed;
     cfg.cpu.target_insts = args.insts;
-    cfg.threads = scale.threads;
     cfg.sample = scale.sample;
     cfg.mc.per_bank_refresh = args.per_bank_refresh;
     cfg.oracle = args.oracle;

@@ -234,11 +234,6 @@ impl CpuCluster {
         }
     }
 
-    /// Writebacks queued but not yet accepted by the memory system.
-    pub fn pending_writebacks_len(&self) -> usize {
-        self.pending_writebacks.len()
-    }
-
     /// Freezes (or thaws) instruction fetch on every core. While frozen,
     /// [`CpuCluster::cycle`] only retires in-flight window slots and
     /// retries queued writebacks — no trace refill, no dispatch, no
@@ -272,16 +267,6 @@ impl CpuCluster {
     /// The cycle `core` hit its current phase target, if it has.
     pub fn finish_cycle(&self, core: usize) -> Option<CpuCycle> {
         self.cores[core].finish_cycle()
-    }
-
-    /// Total MSHR slots currently free across all cores: an upper bound
-    /// on the demand/prefetch reads a single [`CpuCluster::cycle`] call
-    /// can send.
-    pub fn mshr_headroom(&self) -> u64 {
-        self.mshr_used
-            .iter()
-            .map(|&u| u64::from(self.cfg.mshrs.saturating_sub(u)))
-            .sum()
     }
 
     /// Advances every core by one CPU cycle.

@@ -2,10 +2,9 @@
 //! degrade/retry policies, and resumable result journals.
 //!
 //! Reproducing the paper's evaluation means running hundreds of
-//! independent simulations per figure. The bare [`crate::run_many`]
-//! thread pool treats every job as infallible: one panicking or wedged
-//! job used to take the whole figure — and with it an hours-long `bench
-//! all` — down. A [`Campaign`] supervises the same job set instead:
+//! independent simulations per figure, and one panicking or wedged job
+//! must not take the whole figure — and with it an hours-long `bench
+//! all` — down. A [`Campaign`] supervises the job set:
 //!
 //! * every attempt runs on its own worker thread under
 //!   [`std::panic::catch_unwind`], so a panic (or a structured

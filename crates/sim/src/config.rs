@@ -269,8 +269,6 @@ pub struct SystemConfig {
     /// An active RowHammer attack scenario: a seeded aggressor generator
     /// injects attack reads through the real controller and a flip model
     /// judges the outcome ([`crate::hammer`]). `None` runs no attack.
-    /// Scenario runs always use the serial engines (the sharded parallel
-    /// driver is bypassed even when `threads > 1`).
     pub hammer: Option<crate::hammer::HammerScenario>,
     /// Attach the shadow protocol validator to every channel (observes
     /// each issued command against an independent JEDEC state machine;
@@ -278,16 +276,13 @@ pub struct SystemConfig {
     /// the `CROW_VALIDATE` environment variable so an entire test run
     /// can be validated with `CROW_VALIDATE=1`.
     pub validate_protocol: bool,
-    /// Worker threads for the sharded per-channel engine. `1` runs the
-    /// classic serial loop; values above `1` (with more than one
-    /// channel) shard channels across workers. Reports are bit-identical
-    /// at any thread count.
+    /// Ignored by the simulator. It stays only because the benchmark
+    /// still uses it, and goes with the next change to the benchmark.
     pub threads: u32,
     /// Interval-sampling schedule ([`crate::sampling`]): measured
     /// windows separated by functional fast-forward, with per-window
     /// confidence intervals in the report. `None` simulates every cycle
-    /// in detail. Sampled runs always use the serial engines (the
-    /// sharded parallel driver is bypassed even when `threads > 1`).
+    /// in detail.
     pub sample: Option<crate::sampling::SamplePlan>,
 }
 

@@ -37,7 +37,6 @@ pub mod fault;
 pub mod hammer;
 pub mod json;
 pub mod metrics;
-mod parallel;
 pub mod report;
 pub mod sampling;
 pub mod server;
@@ -49,7 +48,7 @@ pub use campaign::{
 };
 pub use config::{Engine, Mechanism, SystemConfig};
 pub use error::CrowError;
-pub use experiments::{run_many, run_mix, run_single, run_with_config, Scale};
+pub use experiments::{run_mix, run_single, run_with_config, Scale};
 pub use fault::{FaultPlan, FaultPolicy, FaultStats};
 pub use hammer::{
     AggressorGen, AttackPattern, FlipModel, FlipParams, HammerScenario, HammerState, HammerStats,

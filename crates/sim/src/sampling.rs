@@ -456,7 +456,7 @@ pub(crate) fn drive(sys: &mut System, plan: SamplePlan, max_cpu_cycles: u64) -> 
         }
         if plan.warmup_insts > 0 {
             sys.cluster.begin_phase(plan.warmup_insts);
-            sys.run_serial(max_cpu_cycles);
+            sys.run_detailed(max_cpu_cycles);
             if !sys.cluster.done() {
                 break; // cycle cap hit mid-warmup
             }
@@ -465,7 +465,7 @@ pub(crate) fn drive(sys: &mut System, plan: SamplePlan, max_cpu_cycles: u64) -> 
         let start = sys.cpu_cycle;
         let (e0, hits0, opens0) = snapshot(sys);
         sys.cluster.begin_phase(plan.window_insts);
-        sys.run_serial(max_cpu_cycles);
+        sys.run_detailed(max_cpu_cycles);
         let finished = sys.cluster.done();
         let (e1, hits1, opens1) = snapshot(sys);
         let mut ipc_sum = 0.0;
@@ -577,7 +577,7 @@ mod tests {
         let off = SamplePlan::from_lookup(|k| (k == "CROW_SAMPLE").then(|| "off".into())).unwrap();
         assert_eq!(off, None);
         // Malformed values are configuration errors, never silent
-        // defaults — same contract as CROW_THREADS/CROW_SERVE_*.
+        // defaults — same contract as CROW_INSTS/CROW_SERVE_*.
         for (k, v) in [
             ("CROW_SAMPLE", "fast"),
             ("CROW_SAMPLE", "1:2"),

@@ -55,14 +55,14 @@ pub struct System {
     pub(crate) mapper: AddrMapper,
     pub(crate) cpu_cycle: u64,
     pub(crate) mem_cycle: u64,
-    pub(crate) clock_accum: u64,
+    clock_accum: u64,
     completions: Vec<Completion>,
     vrt_rng: StdRng,
     vrt_events: u64,
     /// Per-channel conservative next-event bounds (event-driven engine):
     /// memory ticks strictly before `mc_next_event[i]` are provable
     /// no-ops for controller `i`. 0 forces a real tick.
-    pub(crate) mc_next_event: Vec<u64>,
+    mc_next_event: Vec<u64>,
     /// Target selection for the fault harness (independent of `vrt_rng`
     /// so `cfg.vrt_interval_cycles` and `cfg.fault_plan` compose without
     /// perturbing each other's draws).
@@ -478,7 +478,7 @@ impl System {
     /// system can provably fast-forward: the cluster is inert, no VRT
     /// injection is due, and no skipped memory tick would reach a
     /// controller's next event. 0 means the next cycle must step.
-    pub(crate) fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
+    fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
         let inert = self.cluster.inert_cycles(self.cpu_cycle);
         if inert == 0 {
             return 0;
@@ -522,7 +522,7 @@ impl System {
     /// advances inert cores in closed form, replays the clock
     /// accumulator, and charges the skipped memory ticks as idle
     /// background time.
-    pub(crate) fn apply_skip(&mut self, skip: u64) {
+    fn apply_skip(&mut self, skip: u64) {
         self.cluster.advance_inert(self.cpu_cycle, skip);
         let (num, den) = SystemConfig::CLOCK_RATIO;
         let total = self.clock_accum + den * skip;
@@ -543,20 +543,13 @@ impl System {
     pub fn run(&mut self, max_cpu_cycles: u64) -> SimReport {
         let started = std::time::Instant::now();
         let start_cycle = self.cpu_cycle;
-        // Sampled runs own the phase schedule and are serial-only (the
-        // sharded driver cannot re-target cores mid-shard).
+        // Sampled runs own the phase schedule.
         let sampled = self
             .cfg
             .sample
             .map(|plan| crate::sampling::drive(self, plan, max_cpu_cycles));
         if sampled.is_none() {
-            // Attack scenarios are serial-only: the sharded driver cannot
-            // poll the generator or drain flip events mid-shard.
-            if self.cfg.threads > 1 && self.cfg.channels > 1 && self.hammer.is_none() {
-                crate::parallel::drive(self, max_cpu_cycles);
-            } else {
-                self.run_serial(max_cpu_cycles);
-            }
+            self.run_detailed(max_cpu_cycles);
         }
         if self.cfg.validate_protocol {
             let now = self.mem_cycle;
@@ -580,11 +573,11 @@ impl System {
         r
     }
 
-    /// The serial stepping loop under the configured engine: runs until
+    /// The detailed stepping loop under the configured engine: runs until
     /// every core reaches its current instruction target or
     /// `max_cpu_cycles` elapse. Factored out so the sampling driver can
     /// re-enter the detailed pipeline for each measured window.
-    pub(crate) fn run_serial(&mut self, max_cpu_cycles: u64) {
+    pub(crate) fn run_detailed(&mut self, max_cpu_cycles: u64) {
         match self.cfg.engine {
             Engine::Naive => {
                 while !self.cluster.done() && self.cpu_cycle < max_cpu_cycles {
