@@ -291,11 +291,13 @@ pub fn refresh_granularity(scale: Scale) -> String {
     let mut out = heading("Ablation: per-bank vs all-bank refresh (4-core HHHH)");
     out.push_str(&tab.render());
     out.push_str(
-        "\n(per-bank refresh helps at 8 Gbit where tRFCpb << tREFIpb; at the\n\
+        "\n(per-bank refresh hides refresh latency behind accesses to other\n\
+         banks, so its speedup grows with density as tRFC grows; at the\n\
          extrapolated 64 Gbit timings tRFCpb approaches the per-bank slot, so a\n\
-         bank is almost always refreshing and the benefit evaporates -- another\n\
-         angle on the paper's point that refresh overhead scales unfavourably\n\
-         with density, and on why CROW-ref's halved rate matters)\n",
+         bank is almost always refreshing and the gain costs far more DRAM\n\
+         energy -- another angle on the paper's point that refresh overhead\n\
+         scales unfavourably with density, and on why CROW-ref's halved rate\n\
+         matters)\n",
     );
     out.push_str(&camp.finish());
     out

@@ -25,7 +25,19 @@ struct Slot {
 /// This is the standard trace-driven model Ramulator uses for CPU traces
 /// and is the core the paper simulates (4-wide, 128-entry window).
 pub struct Core {
+    /// The named window slots, in dispatch order, behind the ready head.
+    /// Their seqs are consecutive, so a slot is found by its offset from
+    /// the front seq.
     window: VecDeque<Slot>,
+    /// Anonymous slots ahead of `window`, every one already retirable.
+    /// A mechanical stretch leaves only such slots behind (see
+    /// [`Core::advance_inert`]), and their `ready_at` and `seq` can never
+    /// be observed again, so they are kept as a count.
+    ready_head: usize,
+    /// `WAITING` slots in `window`.
+    waiting: usize,
+    /// The largest finite `ready_at` ever stored in `window`.
+    max_ready: CpuCycle,
     window_size: usize,
     ipc: u32,
     trace: Box<dyn TraceSource>,
@@ -48,7 +60,7 @@ impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("retired", &self.retired)
-            .field("window", &self.window.len())
+            .field("window", &self.window_len())
             .finish()
     }
 }
@@ -58,6 +70,9 @@ impl Core {
     pub fn new(trace: Box<dyn TraceSource>, ipc: u32, window_size: usize, target: u64) -> Self {
         Self {
             window: VecDeque::with_capacity(window_size),
+            ready_head: 0,
+            waiting: 0,
+            max_ready: 0,
             window_size,
             ipc,
             trace,
@@ -114,22 +129,31 @@ impl Core {
     /// Retires up to `ipc` ready instructions from the window head.
     pub fn retire(&mut self, now: CpuCycle) {
         for _ in 0..self.ipc {
-            match self.window.front() {
-                Some(s) if s.ready_at <= now => {
-                    self.window.pop_front();
-                    self.retired += 1;
-                    if self.retired == self.target && self.finish_cycle.is_none() {
-                        self.finish_cycle = Some(now.max(1));
+            if self.ready_head > 0 {
+                self.ready_head -= 1;
+            } else {
+                match self.window.front() {
+                    Some(s) if s.ready_at <= now => {
+                        self.window.pop_front();
                     }
+                    _ => break,
                 }
-                _ => break,
+            }
+            self.retired += 1;
+            if self.retired == self.target && self.finish_cycle.is_none() {
+                self.finish_cycle = Some(now.max(1));
             }
         }
     }
 
+    /// In-flight instructions: the ready head plus the named slots.
+    fn window_len(&self) -> usize {
+        self.ready_head + self.window.len()
+    }
+
     /// Whether the window has space for another instruction.
     pub fn window_has_space(&self) -> bool {
-        self.window.len() < self.window_size
+        self.window_len() < self.window_size
     }
 
     /// Pulls trace records until a dispatchable instruction is pending.
@@ -169,8 +193,7 @@ impl Core {
     pub fn dispatch_bubble(&mut self, now: CpuCycle) {
         debug_assert!(self.pending_bubbles > 0 && self.window_has_space());
         self.pending_bubbles -= 1;
-        let seq = self.alloc_seq();
-        self.window.push_back(Slot { ready_at: now, seq });
+        self.push_ready(now);
     }
 
     /// Dispatches the pending memory access as already-satisfied (store,
@@ -178,7 +201,12 @@ impl Core {
     pub fn dispatch_ready(&mut self, ready_at: CpuCycle) {
         debug_assert!(self.pending_access().is_some() && self.window_has_space());
         self.pending_access = None;
+        self.push_ready(ready_at);
+    }
+
+    fn push_ready(&mut self, ready_at: CpuCycle) {
         let seq = self.alloc_seq();
+        self.max_ready = self.max_ready.max(ready_at);
         self.window.push_back(Slot { ready_at, seq });
     }
 
@@ -192,19 +220,24 @@ impl Core {
             ready_at: WAITING,
             seq,
         });
+        self.waiting += 1;
         seq
     }
 
-    /// Marks a waiting load ready (fill returned).
+    /// Marks a waiting load ready (fill returned). Waiting slots are
+    /// always named, and named seqs are consecutive, so the slot sits at
+    /// offset `seq - front.seq`.
     pub fn complete(&mut self, seq: u64, now: CpuCycle) {
-        for s in self.window.iter_mut() {
-            if s.seq == seq {
-                debug_assert_eq!(s.ready_at, WAITING, "completing a non-waiting slot");
-                s.ready_at = now;
-                return;
-            }
-        }
-        debug_assert!(false, "completion for unknown seq {seq}");
+        let front = self.window.front().map_or(seq, |s| s.seq);
+        let Some(s) = self.window.get_mut(seq.wrapping_sub(front) as usize) else {
+            debug_assert!(false, "completion for unknown seq {seq}");
+            return;
+        };
+        debug_assert_eq!(s.seq, seq, "window seqs are not consecutive");
+        debug_assert_eq!(s.ready_at, WAITING, "completing a non-waiting slot");
+        s.ready_at = now;
+        self.waiting -= 1;
+        self.max_ready = self.max_ready.max(now);
     }
 
     fn alloc_seq(&mut self) -> u64 {
@@ -236,7 +269,10 @@ impl Core {
     /// Advances the dispatch sequence counter as if `n` instructions
     /// had been dispatched, keeping the batched functional warmup
     /// bit-identical to the historical one-instruction-at-a-time path.
+    /// Only called on an empty window, so the named slots' seqs stay
+    /// consecutive.
     pub fn bump_seq(&mut self, n: u64) {
+        debug_assert!(self.window_empty(), "bump_seq on a busy window");
         self.next_seq += n;
     }
 
@@ -246,12 +282,14 @@ impl Core {
     /// mechanical bubble stretch (retire `ipc` ready slots, dispatch
     /// `ipc` bubbles — no trace refill, no memory access, no LLC touch).
     /// Such cycles can be replayed in closed form by
-    /// [`Core::advance_inert`] with bit-identical results.
+    /// [`Core::advance_inert`] with bit-identical results. Runs in O(1):
+    /// it reads the ready head, the waiting count, the ready watermark
+    /// and the front slot, never the whole window.
     ///
     /// Returns 0 if the next cycle must run normally; `u64::MAX` means
     /// inert until an external completion arrives.
     pub fn inert_cycles(&self, now: CpuCycle) -> u64 {
-        if self.trace_fault.is_some() && self.window.is_empty() {
+        if self.trace_fault.is_some() && self.window_empty() {
             // Parked with a drained window: no retire, no dispatch, no
             // refill can ever happen again — inert indefinitely.
             return u64::MAX;
@@ -268,7 +306,7 @@ impl Core {
             }
             return k;
         }
-        if !self.window_has_space() {
+        if !self.window_has_space() && self.ready_head == 0 {
             // Fully stalled: nothing can dispatch, and retirement resumes
             // only once the head slot becomes ready.
             return match self.window.front() {
@@ -286,47 +324,42 @@ impl Core {
     /// retirable (so retirement never blocks mid-stretch). The window
     /// length is then invariant cycle over cycle: retire `ipc`, dispatch
     /// `ipc` bubbles.
+    ///
+    /// "Every slot retirable" is read off two counters, not the window:
+    /// a slot with `ready_at > now` is either `WAITING` or finite and at
+    /// most `max_ready`; and a slot with a finite `ready_at > now` cannot
+    /// have retired yet, since retirement happened at cycles `<= now`.
+    /// So some slot has `ready_at > now` exactly when
+    /// `waiting > 0 || max_ready > now`.
     fn is_mechanical(&self, now: CpuCycle) -> bool {
         let n = u64::from(self.ipc);
         u64::from(self.pending_bubbles) >= n
-            && self.window.len() as u64 >= n
-            && !self.window.iter().any(|s| s.ready_at > now)
+            && self.window_len() as u64 >= n
+            && self.waiting == 0
+            && self.max_ready <= now
     }
 
     /// Replays `k` cycles agreed inert by [`Core::inert_cycles`] in
-    /// closed form. For a stalled core this is a no-op; for a mechanical
-    /// bubble stretch it applies the exact retire/dispatch effects of
-    /// cycles `now .. now + k`.
+    /// O(1). For a stalled core this is a no-op; for a mechanical bubble
+    /// stretch it applies the exact retire/dispatch effects of cycles
+    /// `now .. now + k`: `ipc * k` retirements and as many bubble
+    /// dispatches, with the window length unchanged.
     pub fn advance_inert(&mut self, now: CpuCycle, k: u64) {
         if k == 0 || !self.is_mechanical(now) {
             return;
         }
-        let n = u64::from(self.ipc);
-        let pushes = n * k;
+        let pushes = u64::from(self.ipc) * k;
         debug_assert!(u64::from(self.pending_bubbles) >= pushes);
-        // Each cycle retires `ipc` ready slots and dispatches `ipc`
-        // bubbles, so the window length is invariant and its final
-        // content is the most recent `len` dispatches (possibly with a
-        // prefix of surviving old slots if the stretch was short).
-        let len = self.window.len() as u64;
         self.retired += pushes;
         self.pending_bubbles -= pushes as u32;
-        let kept_new = pushes.min(len);
-        if pushes >= len {
-            self.window.clear();
-        } else {
-            self.window.drain(..pushes as usize);
-        }
-        // Bubble `i` (0-based within the stretch) dispatches in cycle
-        // `now + i / ipc` with seq `next_seq + 1 + i`; keep the last
-        // `kept_new` of them.
-        for i in (pushes - kept_new)..pushes {
-            self.window.push_back(Slot {
-                ready_at: now + i / n,
-                seq: self.next_seq + 1 + i,
-            });
-        }
         self.next_seq += pushes;
+        // Every slot left in the window — old ones that survived a short
+        // stretch and bubbles dispatched in cycles `< now + k` — is
+        // retirable from cycle `now + k` on and none is waiting. No later
+        // call can observe their `ready_at` or `seq`, so the whole window
+        // collapses into the ready head.
+        self.ready_head = self.window_len();
+        self.window.clear();
     }
 
     /// Zeroes retirement statistics (used after functional warmup so the
@@ -349,7 +382,7 @@ impl Core {
 
     /// Whether the in-order window holds no in-flight instructions.
     pub fn window_empty(&self) -> bool {
-        self.window.is_empty()
+        self.window_len() == 0
     }
 }
 
@@ -446,6 +479,96 @@ mod tests {
         // permanently inert.
         c.retire(10);
         assert_eq!(c.inert_cycles(11), u64::MAX);
+    }
+
+    /// One naive cycle of a lone core: retire, then dispatch up to
+    /// `ipc` instructions. Trace loads encode their own fate in the
+    /// address: bit 0 clear is an LLC hit ready 3 cycles later, bit 0
+    /// set waits on memory for `vaddr >> 6` cycles. Appends the
+    /// `(due, seq)` of every load it sends to memory to `sent`.
+    fn lockstep_cycle(c: &mut Core, now: CpuCycle, sent: &mut Vec<(CpuCycle, u64)>) {
+        c.retire(now);
+        for _ in 0..c.ipc {
+            if !c.window_has_space() {
+                break;
+            }
+            c.refill_pending();
+            match c.pending_access() {
+                None => c.dispatch_bubble(now),
+                Some(a) if a.is_write => c.dispatch_ready(now),
+                Some(a) if a.vaddr & 1 == 0 => c.dispatch_ready(now + 3),
+                Some(a) => sent.push((now + (a.vaddr >> 6), c.dispatch_waiting())),
+            }
+        }
+    }
+
+    /// Delivers the completions due at `now`.
+    fn deliver(c: &mut Core, now: CpuCycle, inflight: &mut Vec<(CpuCycle, u64)>) {
+        inflight.retain(|&(due, seq)| {
+            if due == now {
+                c.complete(seq, now);
+            }
+            due != now
+        });
+    }
+
+    #[test]
+    fn inert_fast_forward_matches_cycle_stepping() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut mechanical_skips = 0;
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let entries: Vec<TraceEntry> = (0..rng.gen_range(20..60usize))
+                .map(|_| {
+                    let n = rng.gen_range(0..48u32);
+                    match rng.gen_range(0..4u32) {
+                        0 => TraceEntry::bubbles(n),
+                        1 => TraceEntry::store(n, 0x1000),
+                        2 => TraceEntry::load(n, 0x2000),
+                        _ => TraceEntry::load(n, (rng.gen_range(1..80u64) << 6) | 1),
+                    }
+                })
+                .collect();
+            let target = rng.gen_range(300..3000u64);
+            let mk = || Core::new(Box::new(LoopedTrace::new(entries.clone())), 4, 12, target);
+            let (mut slow, mut fast) = (mk(), mk());
+            let (mut slow_mem, mut fast_mem) = (Vec::new(), Vec::new());
+            // `fast` has simulated every cycle before `fast_at`.
+            let mut fast_at = 0;
+            for now in 0..20_000 {
+                deliver(&mut slow, now, &mut slow_mem);
+                lockstep_cycle(&mut slow, now, &mut slow_mem);
+                if fast_at == now {
+                    deliver(&mut fast, now, &mut fast_mem);
+                    // Like the engine, never skip past a completion.
+                    let next_due = fast_mem.iter().map(|&(d, _)| d).min().unwrap_or(u64::MAX);
+                    let k = fast.inert_cycles(now).min(next_due - now);
+                    if k > 0 && k != u64::MAX {
+                        mechanical_skips += u64::from(fast.is_mechanical(now));
+                        fast.advance_inert(now, k);
+                        fast_at = now + k;
+                    } else {
+                        lockstep_cycle(&mut fast, now, &mut fast_mem);
+                        fast_at = now + 1;
+                    }
+                }
+                if fast_at != now + 1 {
+                    continue;
+                }
+                let t = now + 1;
+                let ctx = format!("seed {seed}, cycle {t}");
+                assert_eq!(slow.retired(), fast.retired(), "{ctx}");
+                assert_eq!(slow.finish_cycle(), fast.finish_cycle(), "{ctx}");
+                assert_eq!(slow.window_has_space(), fast.window_has_space(), "{ctx}");
+                assert_eq!(slow.window_empty(), fast.window_empty(), "{ctx}");
+                assert_eq!(slow.inert_cycles(t), fast.inert_cycles(t), "{ctx}");
+                assert_eq!(slow.next_seq, fast.next_seq, "{ctx}: next waiting seq");
+                assert_eq!(slow_mem, fast_mem, "{ctx}: in-flight loads");
+            }
+            assert!(slow.finished(), "seed {seed} never reached its target");
+        }
+        assert!(mechanical_skips > 100, "only {mechanical_skips} stretches");
     }
 
     #[test]

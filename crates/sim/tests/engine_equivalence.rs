@@ -169,28 +169,60 @@ fn random_driver_four_channel_validated_runs_are_clean() {
     }
 }
 
-#[test]
-fn multicore_mix_matches() {
-    let apps: Vec<&AppProfile> = ["mcf", "povray", "libq", "gcc"]
+/// Runs a four-core mix under the full matrix on `channels` channels
+/// and compares the reports (normalized) against the naive/linear
+/// reference.
+fn assert_mix_equivalent(mechanism: Mechanism, apps: [&str; 4], channels: u32, insts: u64) {
+    let apps: Vec<&AppProfile> = apps
         .iter()
         .map(|n| AppProfile::by_name(n).unwrap())
         .collect();
     let mut reports = Vec::new();
     for (engine, sched_impl) in MATRIX {
-        let mut cfg = SystemConfig::quick_test(Mechanism::crow_cache(8));
+        let mut cfg = SystemConfig::quick_test(mechanism);
         cfg.engine = engine;
         cfg.mc.sched_impl = sched_impl;
+        cfg.channels = channels;
+        cfg.cpu.target_insts = insts;
         let mut sys = System::new(cfg, &apps);
         let mut r = sys.run(2_000_000);
         normalize(&mut r);
         reports.push(r);
     }
+    assert!(
+        reports[0].finished,
+        "{mechanism:?} on {apps:?} did not finish"
+    );
     for (i, r) in reports.iter().enumerate().skip(1) {
         assert_eq!(
             format!("{:?}", reports[0]),
             format!("{r:?}"),
-            "{:?} diverged in the multicore mix",
+            "{:?} diverged for {mechanism:?} on {apps:?}",
             MATRIX[i],
+        );
+    }
+}
+
+#[test]
+fn multicore_mix_matches() {
+    assert_mix_equivalent(
+        Mechanism::crow_cache(8),
+        ["mcf", "povray", "libq", "gcc"],
+        1,
+        30_000,
+    );
+}
+
+#[test]
+fn all_low_mpki_mix_matches() {
+    // Every core spends most cycles in mechanical bubble stretches, so
+    // the event engine fast-forwards all four at once, many times over.
+    for mechanism in [Mechanism::Baseline, Mechanism::crow_cache(8)] {
+        assert_mix_equivalent(
+            mechanism,
+            ["povray", "namd", "gamess", "calculix"],
+            4,
+            300_000,
         );
     }
 }

@@ -77,4 +77,22 @@ echo "== supervise gate (poison-job storm vs process isolation) =="
 cargo build --release -p crow-bench --bin crow-serve --bin supervise_gate
 target/release/supervise_gate
 
+echo "== results check (bench all reproduces results/ byte for byte) =="
+# Regenerates every figure and table in a fresh directory with no CROW_*
+# knob set, so the campaign journals start empty and nothing resumes,
+# then diffs the output against the committed results/ (journals
+# excluded). Any drift fails: a speed change must leave every report
+# byte-identical, and a change that moves a figure must commit the
+# regenerated results/ with it.
+cargo build --release -p crow-bench --bin all
+repo=$(pwd)
+results_tmp=$(mktemp -d)
+trap 'rm -rf "$results_tmp"' EXIT
+(
+    cd "$results_tmp"
+    for v in $(compgen -e | grep '^CROW_' || true); do unset "$v"; done
+    "$repo/target/release/all" >/dev/null
+)
+diff -r -x campaign "$results_tmp/results" results
+
 echo "All checks passed."
