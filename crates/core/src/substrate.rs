@@ -148,6 +148,7 @@ impl CrowSubstrate {
     }
 
     /// The substrate configuration.
+    #[inline]
     pub fn config(&self) -> &CrowConfig {
         &self.cfg
     }
@@ -158,6 +159,7 @@ impl CrowSubstrate {
     }
 
     /// Direct access to the CROW-table (read-only).
+    #[inline]
     pub fn table(&self) -> &CrowTable {
         &self.table
     }
@@ -286,6 +288,15 @@ impl CrowSubstrate {
     /// `CopyInstall`).
     pub fn decide(&mut self, bank: u32, subarray: u32, row: u32) -> ActDecision {
         let d = self.peek(bank, subarray, row);
+        self.commit_decision(bank, subarray, d);
+        d
+    }
+
+    /// Applies the LRU and statistics side effects of `d`, a decision
+    /// [`CrowSubstrate::peek`] returned for this bank and subarray with
+    /// no table change since: `peek` then `commit_decision` is exactly
+    /// [`CrowSubstrate::decide`], with one table lookup instead of two.
+    pub fn commit_decision(&mut self, bank: u32, subarray: u32, d: ActDecision) {
         match d {
             ActDecision::Twin { copy, .. } => {
                 self.stats.cache_lookups += 1;
@@ -305,7 +316,6 @@ impl CrowSubstrate {
                 self.stats.restore_evictions += 1;
             }
         }
-        d
     }
 
     /// Installs the CROW-table entry for a just-issued `ACT-c`

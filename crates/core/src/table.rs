@@ -95,12 +95,14 @@ impl CrowTable {
         self.share_factor
     }
 
+    #[inline]
     fn set_index(&self, bank: u32, subarray: u32) -> usize {
         debug_assert!(subarray < self.subarrays_per_bank);
         (bank * self.sets_per_bank + subarray / self.share_factor) as usize
     }
 
     /// Looks up the entry mapping regular row `row`, returning its way.
+    #[inline]
     pub fn lookup(&self, bank: u32, subarray: u32, row: u32) -> Option<(u8, Entry)> {
         let set = &self.sets[self.set_index(bank, subarray)];
         set.entries

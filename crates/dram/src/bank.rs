@@ -33,6 +33,7 @@ pub enum OpenRow {
 impl OpenRow {
     /// Whether a column access intended for regular row `row` can be
     /// served from this open entry.
+    #[inline]
     pub fn serves_regular(&self, row: u32) -> bool {
         match *self {
             OpenRow::Single(RowAddr::Regular(r)) => r == row,
@@ -43,6 +44,7 @@ impl OpenRow {
 
     /// Whether a column access intended for the given copy row can be
     /// served from this open entry.
+    #[inline]
     pub fn serves_copy(&self, subarray: u32, idx: u8, rows_per_subarray: u32) -> bool {
         match *self {
             OpenRow::Single(RowAddr::Copy {
@@ -110,15 +112,28 @@ pub struct SubarrayState {
 }
 
 /// Per-bank state: all subarrays plus bank-global constraints.
+///
+/// Rows open and close only through [`BankState::open_row`] and
+/// [`BankState::close_row`], which keep a bitset of open subarrays, their
+/// count and the lowest open one in step with the subarrays' `open`
+/// fields. That makes [`BankState::open_activation`] and
+/// [`BankState::is_open`] O(1) instead of a walk over every subarray (128
+/// per LPDDR4 bank); a bank with at most one open row, as every
+/// commodity bank is, answers both without reading the bitset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankState {
-    /// One state per subarray.
-    pub subarrays: Vec<SubarrayState>,
+    /// One state per subarray. Write `open` only through
+    /// [`BankState::open_row`] and [`BankState::close_row`].
+    pub(crate) subarrays: Vec<SubarrayState>,
     /// Earliest next `ACT` anywhere in the bank (commodity DRAM: `tRP`
     /// after a `PRE`, `tRC` after an `ACT`, `tRFC` after `REF`).
     pub next_act: Cycle,
+    /// Bit `i % 64` of word `i / 64` is set iff subarray `i` is open.
+    open_mask: Vec<u64>,
     /// Number of subarrays currently holding an open row.
-    pub open_count: u32,
+    open_count: u32,
+    /// The lowest open subarray; meaningless while `open_count` is 0.
+    lowest_open: u32,
 }
 
 impl BankState {
@@ -127,27 +142,82 @@ impl BankState {
         Self {
             subarrays: vec![SubarrayState::default(); subarrays as usize],
             next_act: 0,
+            open_mask: vec![0; subarrays.div_ceil(64) as usize],
             open_count: 0,
+            lowest_open: 0,
         }
     }
 
-    /// The single open activation of a commodity (non-SALP) bank, if any.
-    pub fn open_activation(&self) -> Option<(u32, &Activation)> {
-        self.subarrays
-            .iter()
-            .enumerate()
-            .find_map(|(i, s)| s.open.as_ref().map(|a| (i as u32, a)))
+    /// Latches `act` into the closed subarray `sa`.
+    pub fn open_row(&mut self, sa: u32, act: Activation) {
+        let sub = &mut self.subarrays[sa as usize];
+        debug_assert!(sub.open.is_none(), "subarray {sa} already open");
+        sub.open = Some(act);
+        self.open_mask[(sa / 64) as usize] |= 1 << (sa % 64);
+        if self.open_count == 0 || sa < self.lowest_open {
+            self.lowest_open = sa;
+        }
+        self.open_count += 1;
     }
 
-    /// Mutable variant of [`BankState::open_activation`].
-    pub fn open_activation_mut(&mut self) -> Option<(u32, &mut Activation)> {
-        self.subarrays
-            .iter_mut()
-            .enumerate()
-            .find_map(|(i, s)| s.open.as_mut().map(|a| (i as u32, a)))
+    /// Closes subarray `sa`, returning the activation it held (`None`
+    /// if it was closed).
+    pub fn close_row(&mut self, sa: u32) -> Option<Activation> {
+        let act = self.subarrays[sa as usize].open.take()?;
+        self.open_mask[(sa / 64) as usize] &= !(1 << (sa % 64));
+        self.open_count -= 1;
+        if self.open_count > 0 && sa == self.lowest_open {
+            let (w, bits) = self
+                .open_mask
+                .iter()
+                .enumerate()
+                .find(|(_, bits)| **bits != 0)
+                .expect("an open subarray is in the bitset");
+            self.lowest_open = w as u32 * 64 + bits.trailing_zeros();
+        }
+        Some(act)
+    }
+
+    /// Whether subarray `sa` holds an open row.
+    #[inline]
+    pub fn is_open(&self, sa: u32) -> bool {
+        match self.open_count {
+            0 => false,
+            1 => sa == self.lowest_open,
+            _ => self.open_mask[(sa / 64) as usize] & (1 << (sa % 64)) != 0,
+        }
+    }
+
+    /// The activation open in subarray `sa`, if any. A closed subarray
+    /// is answered without touching its state.
+    #[inline]
+    pub fn activation(&self, sa: u32) -> Option<&Activation> {
+        if self.is_open(sa) {
+            self.subarrays[sa as usize].open.as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// The open activation in the lowest-numbered open subarray, if any:
+    /// the single open activation of a commodity (non-SALP) bank.
+    #[inline]
+    pub fn open_activation(&self) -> Option<(u32, &Activation)> {
+        if self.open_count == 0 {
+            return None;
+        }
+        let sa = self.lowest_open;
+        self.subarrays[sa as usize].open.as_ref().map(|a| (sa, a))
+    }
+
+    /// Number of subarrays currently holding an open row.
+    #[inline]
+    pub fn open_count(&self) -> u32 {
+        self.open_count
     }
 
     /// Whether any subarray holds an open row.
+    #[inline]
     pub fn any_open(&self) -> bool {
         self.open_count > 0
     }
@@ -198,19 +268,26 @@ mod tests {
     fn bank_open_tracking() {
         let mut b = BankState::new(4);
         assert!(b.open_activation().is_none());
-        b.subarrays[2].open = Some(Activation {
-            open: OpenRow::Single(RowAddr::Regular(9)),
-            opened_at: 0,
-            ready_rd: 0,
-            ready_wr: 0,
-            min_pre: 0,
-            full_restore_at: 0,
-            last_use: 0,
-        });
-        b.open_count = 1;
+        b.open_row(
+            2,
+            Activation {
+                open: OpenRow::Single(RowAddr::Regular(9)),
+                opened_at: 0,
+                ready_rd: 0,
+                ready_wr: 0,
+                min_pre: 0,
+                full_restore_at: 0,
+                last_use: 0,
+            },
+        );
+        assert_eq!(b.open_count(), 1);
         let (sa, act) = b.open_activation().unwrap();
         assert_eq!(sa, 2);
         assert!(act.open.serves_regular(9));
         assert!(b.any_open());
+        assert!(b.close_row(2).is_some());
+        assert!(b.close_row(2).is_none());
+        assert!(b.open_activation().is_none());
+        assert!(!b.any_open());
     }
 }

@@ -121,6 +121,9 @@ pub struct DramChannel {
     /// that re-poll the same head-of-queue command every cycle skip the
     /// full constraint walk until the next `issue`.
     ready_cache: Vec<Cell<Option<ReadyMemo>>>,
+    /// log2 of banks per bank group ([`DramConfig::bank_group_of`] as a
+    /// shift; the validated geometry is all powers of two).
+    group_shift: u32,
 }
 
 impl DramChannel {
@@ -153,6 +156,7 @@ impl DramChannel {
             .map(|_| Cell::new(None))
             .collect();
         Ok(Self {
+            group_shift: (cfg.banks / cfg.bank_groups).trailing_zeros(),
             cfg,
             ranks,
             cmd_bus_free: 0,
@@ -211,22 +215,18 @@ impl DramChannel {
         let mut closed = Vec::new();
         for (r, rank) in self.ranks.iter_mut().enumerate() {
             for (b, bank) in rank.banks.iter_mut().enumerate() {
-                if bank.open_count == 0 {
-                    continue;
-                }
-                for s in 0..bank.subarrays.len() {
-                    let Some(act) = bank.subarrays[s].open.take() else {
-                        continue;
-                    };
+                // Lowest open subarray first: the closing order reaches
+                // the oracle, the energy sums and the CROW table.
+                while let Some((s, _)) = bank.open_activation() {
+                    let act = bank.close_row(s).expect("open subarray has a row");
                     let at = now.max(act.min_pre);
                     let restore = act.restored_if_closed_at(at);
                     let restore_drive = at.min(act.full_restore_at) - act.opened_at;
                     if let Some(o) = self.oracle.as_mut() {
                         o.on_pre(r as u32, b as u32, act.open, restore);
                     }
-                    let sub = &mut bank.subarrays[s];
+                    let sub = &mut bank.subarrays[s as usize];
                     sub.next_act = sub.next_act.max(at + trp);
-                    bank.open_count -= 1;
                     if !salp {
                         bank.next_act = bank.next_act.max(at + trp);
                     }
@@ -235,7 +235,7 @@ impl DramChannel {
                         r as u32,
                         b as u32,
                         ClosedRow {
-                            subarray: s as u32,
+                            subarray: s,
                             open: act.open,
                             restore,
                             restore_drive,
@@ -282,20 +282,21 @@ impl DramChannel {
     }
 
     /// The open activation of `bank` (commodity mode: at most one).
+    #[inline]
     pub fn open_activation(&self, rank: u32, bank: u32) -> Option<(u32, &Activation)> {
         self.ranks[rank as usize].banks[bank as usize].open_activation()
     }
 
     /// The activation open in a specific subarray, if any.
+    #[inline]
     pub fn subarray_activation(&self, rank: u32, bank: u32, subarray: u32) -> Option<&Activation> {
-        self.ranks[rank as usize].banks[bank as usize].subarrays[subarray as usize]
-            .open
-            .as_ref()
+        self.ranks[rank as usize].banks[bank as usize].activation(subarray)
     }
 
     /// Number of open row buffers in `bank`.
+    #[inline]
     pub fn open_count(&self, rank: u32, bank: u32) -> u32 {
-        self.ranks[rank as usize].banks[bank as usize].open_count
+        self.ranks[rank as usize].banks[bank as usize].open_count()
     }
 
     /// Whether every bank of `rank` is precharged (required before `REF`).
@@ -324,29 +325,11 @@ impl DramChannel {
                     .act
                     .ok_or(IssueError::WrongState("activate without ActKind"))?;
                 let sa = kind.subarray(self.cfg.rows_per_subarray);
-                let bank = &rank.banks[d.bank as usize];
-                let sa_state = &bank.subarrays[sa as usize];
-                if sa_state.open.is_some() {
-                    return Err(IssueError::WrongState("subarray already open"));
-                }
-                if !self.cfg.subarray_parallelism && bank.any_open() {
-                    return Err(IssueError::WrongState("bank already has an open row"));
-                }
-                let group = self.cfg.bank_group_of(d.bank) as usize;
-                ready = ready
-                    .max(sa_state.next_act)
-                    .max(rank.next_act)
-                    .max(rank.next_act_group[group]);
-                if !self.cfg.subarray_parallelism {
-                    ready = ready.max(bank.next_act);
-                }
-                if rank.faw.len() == 4 {
-                    ready = ready.max(rank.faw[0] + u64::from(self.cfg.timings.tfaw));
-                }
+                ready = self.act_ready_at(d.rank, d.bank, sa)?;
             }
             Command::Rd | Command::Wr => {
                 let (_, act) = self.resolve_open(d)?;
-                let group = self.cfg.bank_group_of(d.bank) as usize;
+                let group = self.group_of(d.bank);
                 let col_ready = if d.cmd == Command::Rd {
                     act.ready_rd
                         .max(rank.next_rd)
@@ -384,6 +367,47 @@ impl DramChannel {
                     ready = ready.max(sa.next_act.saturating_sub(u64::from(self.cfg.timings.trp)));
                 }
             }
+        }
+        Ok(ready)
+    }
+
+    /// Earliest legal issue cycle for an activation into subarray `sa`
+    /// of (`rank`, `bank`), or the structural error that forbids it.
+    /// This is [`DramChannel::ready_at`] for any activate command into
+    /// that subarray: the answer does not depend on the activation
+    /// flavour or its timing modifier. The caller keeps the addresses
+    /// in range.
+    ///
+    /// # Errors
+    ///
+    /// [`IssueError::WrongState`] if the subarray (or, without subarray
+    /// parallelism, the bank) already holds an open row.
+    pub fn act_ready_at(&self, rank: u32, bank: u32, sa: u32) -> Result<Cycle, IssueError> {
+        let rank_state = &self.ranks[rank as usize];
+        let b = &rank_state.banks[bank as usize];
+        if b.is_open(sa) {
+            return Err(IssueError::WrongState("subarray already open"));
+        }
+        let sa_next_act = b.subarrays[sa as usize].next_act;
+        let mut ready = self.cmd_bus_free;
+        if self.cfg.subarray_parallelism {
+            ready = ready.max(sa_next_act);
+        } else {
+            if b.any_open() {
+                return Err(IssueError::WrongState("bank already has an open row"));
+            }
+            // In a commodity bank every write of a subarray's `next_act`
+            // raises the bank's to at least the same cycle, so the bank's
+            // bound covers the subarray's.
+            debug_assert!(sa_next_act <= b.next_act);
+            ready = ready.max(b.next_act);
+        }
+        let group = self.group_of(bank);
+        ready = ready
+            .max(rank_state.next_act)
+            .max(rank_state.next_act_group[group]);
+        if rank_state.faw.len() == 4 {
+            ready = ready.max(rank_state.faw[0] + u64::from(self.cfg.timings.tfaw));
         }
         Ok(ready)
     }
@@ -484,11 +508,10 @@ impl DramChannel {
                 if let Some(o) = self.oracle.as_mut() {
                     o.on_act(d.rank, d.bank, kind);
                 }
-                let group = self.cfg.bank_group_of(d.bank) as usize;
+                let group = self.group_of(d.bank);
                 let rank = &mut self.ranks[d.rank as usize];
                 let bank = &mut rank.banks[d.bank as usize];
-                bank.subarrays[sa as usize].open = Some(act);
-                bank.open_count += 1;
+                bank.open_row(sa, act);
                 rank.next_act = rank.next_act.max(now + u64::from(t.trrd));
                 rank.next_act_group[group] =
                     rank.next_act_group[group].max(now + u64::from(t.trrd_l));
@@ -504,7 +527,7 @@ impl DramChannel {
                 if let Some(o) = self.oracle.as_mut() {
                     o.note_read(d.rank, d.bank);
                 }
-                let group = self.cfg.bank_group_of(d.bank) as usize;
+                let group = self.group_of(d.bank);
                 let rank = &mut self.ranks[d.rank as usize];
                 let act = rank.banks[d.bank as usize].subarrays[sa as usize]
                     .open
@@ -539,7 +562,7 @@ impl DramChannel {
                 if let Some(o) = self.oracle.as_mut() {
                     o.on_write(d.rank, d.bank, open);
                 }
-                let group = self.cfg.bank_group_of(d.bank) as usize;
+                let group = self.group_of(d.bank);
                 let rank = &mut self.ranks[d.rank as usize];
                 let act = rank.banks[d.bank as usize].subarrays[sa as usize]
                     .open
@@ -563,9 +586,8 @@ impl DramChannel {
                 }
                 let rank = &mut self.ranks[d.rank as usize];
                 let bank = &mut rank.banks[d.bank as usize];
-                bank.subarrays[sa as usize].open = None;
+                bank.close_row(sa);
                 bank.subarrays[sa as usize].next_act = now + u64::from(t.trp);
-                bank.open_count -= 1;
                 if !salp {
                     bank.next_act = bank.next_act.max(now + u64::from(t.trp));
                 }
@@ -601,6 +623,12 @@ impl DramChannel {
         fx
     }
 
+    /// The bank group of `bank`, as an index.
+    fn group_of(&self, bank: u32) -> usize {
+        debug_assert_eq!(bank >> self.group_shift, self.cfg.bank_group_of(bank));
+        (bank >> self.group_shift) as usize
+    }
+
     /// Resolves the activation a column/precharge command targets.
     fn resolve_open(&self, d: &CmdDesc) -> Result<(u32, &Activation), IssueError> {
         let bank = &self.ranks[d.rank as usize].banks[d.bank as usize];
@@ -608,9 +636,7 @@ impl DramChannel {
             if sa as usize >= bank.subarrays.len() {
                 return Err(IssueError::BadAddress("subarray out of range"));
             }
-            bank.subarrays[sa as usize]
-                .open
-                .as_ref()
+            bank.activation(sa)
                 .map(|a| (sa, a))
                 .ok_or(IssueError::WrongState("target subarray has no open row"))
         } else {
@@ -702,6 +728,63 @@ mod tests {
             c.check(&act2, 10_000),
             Err(IssueError::WrongState(_))
         ));
+    }
+
+    /// The open-subarray bitset behind `open_activation` and
+    /// `open_count` agrees with a walk over every subarray through
+    /// random `ACT`, `PRE` and `close_all_open` sequences, on a SALP bank
+    /// wide enough (256 subarrays) to span four bitset words.
+    #[test]
+    fn open_subarray_bitset_matches_linear_scan() {
+        let mut cfg = DramConfig::tiny_test();
+        cfg.subarray_parallelism = true;
+        cfg.rows_per_bank = 64 * 256;
+        let subarrays = cfg.subarrays_per_bank();
+        assert_eq!(subarrays, 256);
+        let mut c = DramChannel::new(cfg.clone());
+        let hot = [0, 1, 62, 63, 64, 65, 127, 128, 191, 255];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut now = 0;
+        let mut issued = 0;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let bank = (x % u64::from(cfg.banks)) as u32;
+            let sa = if (x >> 8) & 1 == 0 {
+                hot[((x >> 9) % hot.len() as u64) as usize]
+            } else {
+                ((x >> 9) % u64::from(subarrays)) as u32
+            };
+            let row = sa * cfg.rows_per_subarray + ((x >> 24) % 64) as u32;
+            let d = match (x >> 40) % 32 {
+                0 => {
+                    c.close_all_open(now);
+                    None
+                }
+                1..=16 => Some(CmdDesc::act(0, bank, ActKind::single(row))),
+                _ => Some(CmdDesc::pre_subarray(0, bank, sa)),
+            };
+            if let Some(d) = d {
+                if let Ok(ready) = c.ready_at(&d) {
+                    now = now.max(ready);
+                    c.issue(&d, now);
+                    issued += 1;
+                }
+            }
+            for b in 0..cfg.banks {
+                let open: Vec<u32> = (0..subarrays)
+                    .filter(|&s| c.subarray_activation(0, b, s).is_some())
+                    .collect();
+                assert_eq!(
+                    c.open_activation(0, b).map(|(s, _)| s),
+                    open.first().copied(),
+                    "step {step}, bank {b}"
+                );
+                assert_eq!(c.open_count(0, b), open.len() as u32, "step {step}");
+            }
+        }
+        assert!(issued > 5_000, "too few legal commands: {issued}");
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub enum SchedKind {
 /// in work per tick and in how far the event-driven engine can skip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedImpl {
-    /// Per-(rank,bank) request buckets with row-hit sublists and a
-    /// memoized per-bank readiness cache: O(banks) selection plus wake
+    /// Per-(rank,bank) request buckets with row-hits-first key lists
+    /// and a memoized per-bank readiness cache: O(banks) selection plus wake
     /// hints that let the engine skip dead cycles under load.
     Indexed,
     /// The reference O(queue) scan over the whole queue every tick.

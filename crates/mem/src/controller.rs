@@ -6,15 +6,15 @@ use std::collections::VecDeque;
 use crow_core::{ActDecision, CrowSubstrate};
 use crow_dram::channel::IssueFx;
 use crow_dram::{
-    ActKind, ActTimingMod, CmdDesc, Command, Cycle, DramChannel, DramConfig, OpenRow, RestoreState,
-    RowAddr,
+    ActKind, ActTimingMod, Activation, CmdDesc, Command, Cycle, DramChannel, DramConfig, OpenRow,
+    RestoreState, RowAddr,
 };
 use crow_energy::{EnergyCounter, EnergyModel, EnergySpec};
 
 use crate::config::{McConfig, Mitigation, RowPolicy, SchedImpl, SchedKind};
 use crate::error::McError;
 use crate::request::{Completion, MemRequest, ReqKind};
-use crate::sched::{Cursor, QueueIndex, SchedStats, Wake, MISS_STREAM};
+use crate::sched::{key_pos, merge_key, Cursor, QueueIndex, SchedStats, Wake};
 use crate::stats::McStats;
 
 /// How CROW-table hits and misses translate into DRAM commands.
@@ -85,6 +85,22 @@ struct CopyOp {
     purpose: CopyPurpose,
 }
 
+/// The command an attempt for a request tries, decided by the live
+/// state of its bank. Within one scheduler scan every attempt of a bank
+/// on the same path checks the same timing constraints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CmdPath {
+    /// `RD`/`WR` to the row open in this subarray.
+    Column(u32),
+    /// `PRE` of the conflicting row open in this subarray.
+    Pre(u32),
+    /// `ACT` into a closed subarray: `Some(sa)` under subarray-level
+    /// parallelism, where each subarray has its own readiness; `None` in
+    /// a commodity bank, where every subarray activates at the bank's
+    /// bound (`DramChannel::act_ready_at`).
+    Act(Option<u32>),
+}
+
 /// The memory controller for one channel.
 ///
 /// Drive it by calling [`MemController::tick`] once per memory-clock
@@ -95,6 +111,11 @@ struct CopyOp {
 pub struct MemController {
     cfg: McConfig,
     dram_cfg: DramConfig,
+    /// log2 of rows per subarray (a validated power of two), so a row's
+    /// subarray is a shift.
+    row_shift: u32,
+    /// log2 of subarrays per bank, for [`MemController::sub_slot`].
+    sub_shift: u32,
     channel: DramChannel,
     crow: Option<CrowSubstrate>,
     mode: CacheMode,
@@ -109,17 +130,22 @@ pub struct MemController {
     read_q: Vec<MemRequest>,
     write_q: Vec<MemRequest>,
     inflight: Vec<(Cycle, Completion)>,
+    /// Earliest completion cycle in `inflight` (`Cycle::MAX` when empty),
+    /// so ticks and wakeup bounds skip the scan until a read finishes.
+    inflight_next: Cycle,
     copy_ops: VecDeque<CopyOp>,
     /// Subarrays holding a maintenance activation that must reach full
     /// restoration before `PRE` (restore-before-evict / hammer copies).
     forced_restore: Vec<(u32, u32, u32)>,
     /// Open activations, for O(open) policy scans: (rank, bank, subarray).
     open_list: Vec<(u32, u32, u32)>,
-    /// Which request id opened each subarray (for hit/miss accounting).
-    opener: std::collections::HashMap<(u32, u32, u32), u64>,
+    /// Which request id opened each subarray (for hit/miss accounting),
+    /// indexed by [`MemController::sub_slot`].
+    opener: Vec<Option<u64>>,
     /// Column commands served since activation, per subarray (for the
-    /// FR-FCFS cap).
-    served: std::collections::HashMap<(u32, u32, u32), u32>,
+    /// FR-FCFS cap), indexed like `opener`. Never-activated subarrays
+    /// read 0.
+    served: Vec<u32>,
     next_ref: Vec<Cycle>,
     refresh_pending: Vec<bool>,
     /// Round-robin bank counter for per-bank refresh.
@@ -160,8 +186,9 @@ pub struct MemController {
     scratch_cursors: Vec<Cursor>,
     /// Reusable per-bank readiness-bound accumulator.
     scratch_bounds: Vec<(u32, Cycle)>,
-    /// Recycled hit-sublist storage for bucket rebuilds.
-    stream_pool: Vec<Vec<(Cycle, u32)>>,
+    /// Reusable per-scan record of failed command paths: (slot, path,
+    /// the failed attempt's wake cycle).
+    scratch_tried: Vec<(u32, CmdPath, Cycle)>,
     /// Pending PARA/TRR neighbor refreshes: (rank, bank, row), served as
     /// fully-restoring maintenance activations between demand requests.
     neighbor_ops: VecDeque<(u32, u32, u32)>,
@@ -207,8 +234,11 @@ impl MemController {
         let trefi = u64::from(dram_cfg.timings.trefi);
         let ranks = dram_cfg.ranks as usize;
         let slots = (dram_cfg.ranks * dram_cfg.banks) as usize;
+        let sub_slots = slots * dram_cfg.subarrays_per_bank() as usize;
         Ok(Self {
             cfg,
+            row_shift: dram_cfg.rows_per_subarray.trailing_zeros(),
+            sub_shift: dram_cfg.subarrays_per_bank().trailing_zeros(),
             dram_cfg,
             channel,
             crow,
@@ -224,11 +254,12 @@ impl MemController {
             read_q: Vec::with_capacity(cfg.read_q),
             write_q: Vec::with_capacity(cfg.write_q),
             inflight: Vec::with_capacity(cfg.read_q),
+            inflight_next: Cycle::MAX,
             copy_ops: VecDeque::with_capacity(16),
             forced_restore: Vec::new(),
             open_list: Vec::new(),
-            opener: std::collections::HashMap::new(),
-            served: std::collections::HashMap::new(),
+            opener: vec![None; sub_slots],
+            served: vec![0; sub_slots],
             next_ref: vec![trefi; ranks],
             refresh_pending: vec![false; ranks],
             refresh_bank: vec![0; ranks],
@@ -245,7 +276,7 @@ impl MemController {
             refresh_pending_count: 0,
             scratch_cursors: Vec::new(),
             scratch_bounds: Vec::new(),
-            stream_pool: Vec::new(),
+            scratch_tried: Vec::new(),
             neighbor_ops: VecDeque::new(),
             trr_tables: vec![Vec::new(); slots],
             mitigation_rng: 0x2545_F491_4F6C_DD1D,
@@ -310,6 +341,19 @@ impl MemController {
 
     fn slot_of(&self, rank: u32, bank: u32) -> usize {
         (rank * self.dram_cfg.banks + bank) as usize
+    }
+
+    /// Index of (rank, bank, subarray) in the per-subarray arrays.
+    fn sub_slot(&self, rank: u32, bank: u32, sa: u32) -> usize {
+        (self.slot_of(rank, bank) << self.sub_shift) + sa as usize
+    }
+
+    /// The request at `idx` of the `kind` queue.
+    fn queued(&self, kind: ReqKind, idx: usize) -> MemRequest {
+        match kind {
+            ReqKind::Read => self.read_q[idx],
+            ReqKind::Write => self.write_q[idx],
+        }
     }
 
     fn kind_ix(kind: ReqKind) -> usize {
@@ -495,14 +539,19 @@ impl MemController {
         self.bg_cycles += 1;
         self.bg_open_cycles += self.open_list.len() as u64;
         // Deliver finished reads.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].0 <= now {
-                let (_, c) = self.inflight.swap_remove(i);
-                out.push(c);
-            } else {
-                i += 1;
+        if now >= self.inflight_next {
+            let mut i = 0;
+            let mut next = Cycle::MAX;
+            while i < self.inflight.len() {
+                if self.inflight[i].0 <= now {
+                    let (_, c) = self.inflight.swap_remove(i);
+                    out.push(c);
+                } else {
+                    next = next.min(self.inflight[i].0);
+                    i += 1;
+                }
             }
+            self.inflight_next = next;
         }
         // Refresh scheduling, with optional JEDEC postponement: while
         // demand requests are queued, up to `max_postponed_refreshes` due
@@ -543,10 +592,7 @@ impl MemController {
     /// or an enqueue), after which it must be recomputed. Always
     /// `> now`.
     pub fn min_wakeup(&self, now: Cycle) -> Cycle {
-        let mut next = Cycle::MAX;
-        for &(at, _) in &self.inflight {
-            next = next.min(at);
-        }
+        let mut next = self.inflight_next;
         if self.cfg.refresh {
             let busy = !self.read_q.is_empty() || !self.write_q.is_empty();
             let postpone = u64::from(self.cfg.max_postponed_refreshes) * self.trefi_eff();
@@ -745,7 +791,8 @@ impl MemController {
             let key = (rank, bank, c.subarray);
             Self::drop_tracking_entry(&mut self.open_list, key);
             Self::drop_tracking_entry(&mut self.forced_restore, key);
-            self.opener.remove(&key);
+            let ix = self.sub_slot(rank, bank, c.subarray);
+            self.opener[ix] = None;
             if let (Some(crow), OpenRow::Pair { row, .. }) = (self.crow.as_mut(), c.open) {
                 let cb = rank * self.dram_cfg.banks + bank;
                 crow.on_precharge(cb, c.subarray, row, c.restore == RestoreState::Full);
@@ -767,7 +814,7 @@ impl MemController {
     }
 
     fn subarray_of(&self, row: u32) -> u32 {
-        row / self.dram_cfg.rows_per_subarray
+        row >> self.row_shift
     }
 
     /// CROW-table bank index: ranks get disjoint bank ranges so multi-rank
@@ -780,9 +827,14 @@ impl MemController {
     /// serve it, accounting for CROW remaps/duplicates.
     fn serving_activation(&self, req: &MemRequest) -> bool {
         let sa = self.subarray_of(req.row);
-        let Some(act) = self.channel.subarray_activation(req.rank, req.bank, sa) else {
-            return false;
-        };
+        self.channel
+            .subarray_activation(req.rank, req.bank, sa)
+            .is_some_and(|act| self.serves(act, req, sa))
+    }
+
+    /// Whether `act`, open in subarray `sa` of the request's bank, can
+    /// serve the request.
+    fn serves(&self, act: &Activation, req: &MemRequest, sa: u32) -> bool {
         if act.open.serves_regular(req.row) {
             return true;
         }
@@ -1276,11 +1328,7 @@ impl MemController {
                 SchedKind::FrFcfs => u8::from(!hit),
                 SchedKind::FrFcfsCap { cap } => {
                     let sa = self.subarray_of(req.row);
-                    let count = self
-                        .served
-                        .get(&(req.rank, req.bank, sa))
-                        .copied()
-                        .unwrap_or(0);
+                    let count = self.served[self.sub_slot(req.rank, req.bank, sa)];
                     u8::from(!(hit && count < cap))
                 }
             };
@@ -1300,23 +1348,26 @@ impl MemController {
         issued
     }
 
-    /// Indexed implementation: k-way merge over per-bank hit sublists
-    /// and miss lists, skipping banks whose memoized readiness bound
+    /// Indexed implementation: k-way merge over the per-bank sorted
+    /// merge-key lists, skipping banks whose memoized readiness bound
     /// proves every candidate still fails (DESIGN.md §3.13).
     fn serve_from_indexed(&mut self, now: Cycle, kind: ReqKind, wake: &mut Wake) -> bool {
         let banks = self.dram_cfg.banks;
-        let slots = (self.dram_cfg.ranks * banks) as usize;
         let ki = Self::kind_ix(kind);
         let mut cursors = std::mem::take(&mut self.scratch_cursors);
         let mut bounds = std::mem::take(&mut self.scratch_bounds);
+        let mut tried = std::mem::take(&mut self.scratch_tried);
         cursors.clear();
         bounds.clear();
+        tried.clear();
+        let slots = (self.dram_cfg.ranks * banks) as usize;
         for slot in 0..slots {
             if self.index(kind).bucket(slot).cands.is_empty() {
                 continue;
             }
-            let rank = slot as u32 / banks;
-            let bank = slot as u32 % banks;
+            // `banks` is a power of two: split the slot without dividing.
+            let rank = slot as u32 >> banks.trailing_zeros();
+            let bank = slot as u32 & (banks - 1);
             // Refresh hold-back: the linear scan rejects these candidates
             // without side effects, so skipping them wholesale is
             // equivalent (the pending flag flips only with an epoch bump).
@@ -1335,69 +1386,68 @@ impl MemController {
                 continue;
             }
             self.ensure_bucket_fresh(kind, slot);
-            let b = self.index(kind).bucket(slot);
-            for (si, (sa, sub)) in b.hits.iter().enumerate() {
-                if sub.is_empty() {
-                    continue;
-                }
-                // One priority per hit sublist: `served` is constant
-                // during the scan, so the whole sublist shares it.
-                let prio = match self.cfg.sched {
-                    SchedKind::Fcfs => 1,
-                    SchedKind::FrFcfs => 0,
-                    SchedKind::FrFcfsCap { cap } => {
-                        let count = self.served.get(&(rank, bank, *sa)).copied().unwrap_or(0);
-                        u8::from(count >= cap)
-                    }
-                };
+            if let Some(&key) = self.index(kind).bucket(slot).order.first() {
                 cursors.push(Cursor {
-                    prio,
+                    key,
                     slot: slot as u32,
-                    stream: si as u32,
                     next: 0,
-                });
-            }
-            if !b.miss.is_empty() {
-                cursors.push(Cursor {
-                    prio: 1,
-                    slot: slot as u32,
-                    stream: MISS_STREAM,
-                    next: 0,
+                    bound: bounds.len() as u32,
                 });
             }
             bounds.push((slot as u32, Cycle::MAX));
         }
+        // Nothing mutates until a command issues, so a candidate whose
+        // live bank state leads to a command path that already failed
+        // in this scan fails again with the same wake cycle: reuse it
+        // instead of re-checking. Reuse is kept to plain demand scans,
+        // with no refresh pending and no maintenance window open; the
+        // hold-back rules those add are evaluated live in
+        // `request_path`, so this limit is conservative.
+        let reuse = self.forced_restore.is_empty() && self.refresh_pending_count == 0;
         let mut issued = false;
-        loop {
-            // Smallest (priority, arrival, position) across stream heads:
-            // identical to the linear scan's sorted order (keys are
-            // unique because positions are).
-            let mut best: Option<((u8, Cycle, u32), usize)> = None;
-            for (ci, c) in cursors.iter().enumerate() {
-                let Some((arrival, pos)) = self.stream_head(kind, c) else {
-                    continue;
-                };
-                let key = (c.prio, arrival, pos);
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, ci));
+        // Smallest (priority, arrival, position) across the banks' heads:
+        // identical to the linear scan's sorted order (keys are unique
+        // because positions are).
+        while !cursors.is_empty() {
+            let mut ci = 0;
+            for (i, c) in cursors.iter().enumerate().skip(1) {
+                if c.key < cursors[ci].key {
+                    ci = i;
                 }
             }
-            let Some(((_, _, pos), ci)) = best else {
-                break;
-            };
+            let c = cursors[ci];
+            let pos = key_pos(c.key) as usize;
             self.sched.scanned += 1;
+            let req = self.queued(kind, pos);
             let mut attempt = Wake::new();
-            if self.try_serve_request(now, kind, pos as usize, &mut attempt) {
-                self.sched.picks += 1;
-                issued = true;
-                break;
+            if let Some(path) = self.request_path(&req) {
+                let known = tried.iter().find(|t| t.0 == c.slot && t.1 == path);
+                if let Some(&(_, _, at)) = known {
+                    attempt.note(at);
+                } else {
+                    if self.try_path(now, kind, pos, &req, path, &mut attempt) {
+                        self.sched.picks += 1;
+                        issued = true;
+                        break;
+                    }
+                    if reuse && self.path_fixed(path) {
+                        tried.push((c.slot, path, attempt.at));
+                    }
+                }
             }
             wake.merge(&attempt);
-            let slot = cursors[ci].slot;
-            if let Some(e) = bounds.iter_mut().find(|e| e.0 == slot) {
-                e.1 = e.1.min(attempt.at);
+            let bound = &mut bounds[c.bound as usize].1;
+            *bound = (*bound).min(attempt.at);
+            let order = &self.index(kind).bucket(c.slot as usize).order;
+            match order.get(c.next as usize + 1) {
+                Some(&key) => {
+                    cursors[ci].next += 1;
+                    cursors[ci].key = key;
+                }
+                None => {
+                    cursors.swap_remove(ci);
+                }
             }
-            cursors[ci].next += 1;
         }
         if !issued {
             // Every participating bank was attempted to exhaustion:
@@ -1408,45 +1458,45 @@ impl MemController {
         }
         self.scratch_cursors = cursors;
         self.scratch_bounds = bounds;
+        self.scratch_tried = tried;
         issued
     }
 
-    /// The next unconsumed (arrival, position) of a merge cursor.
-    fn stream_head(&self, kind: ReqKind, c: &Cursor) -> Option<(Cycle, u32)> {
-        let b = self.index(kind).bucket(c.slot as usize);
-        let sub = if c.stream == MISS_STREAM {
-            &b.miss
-        } else {
-            &b.hits[c.stream as usize].1
-        };
-        sub.get(c.next as usize).copied()
-    }
-
-    /// Rebuilds `slot`'s hit/miss split if a bank-state change
-    /// invalidated it since the last scan.
+    /// Rebuilds `slot`'s merge keys if a bank-state change invalidated
+    /// them since the last scan. A candidate's priority is fixed between
+    /// rebuilds: it depends on the bank's open rows, its CROW-table
+    /// entries and its FR-FCFS-Cap counts, and every command that changes
+    /// those marks the bank's buckets stale.
     fn ensure_bucket_fresh(&mut self, kind: ReqKind, slot: usize) {
         if self.index(kind).bucket(slot).fresh {
             return;
         }
         let mut b = std::mem::take(self.index_mut(kind).bucket_mut(slot));
-        let mut pool = std::mem::take(&mut self.stream_pool);
-        b.clear_split(&mut pool);
-        for i in 0..b.cands.len() {
-            let (arrival, pos) = b.cands[i];
-            let req = match kind {
-                ReqKind::Read => self.read_q[pos as usize],
-                ReqKind::Write => self.write_q[pos as usize],
-            };
-            if self.serving_activation(&req) {
-                b.hit_push(self.subarray_of(req.row), (arrival, pos), &mut pool);
+        b.order.clear();
+        b.hit_subarrays.clear();
+        for &(arrival, pos) in &b.cands {
+            let req = self.queued(kind, pos as usize);
+            let prio = if self.serving_activation(&req) {
+                let sa = self.subarray_of(req.row);
+                if !b.hit_subarrays.contains(&sa) {
+                    b.hit_subarrays.push(sa);
+                }
+                match self.cfg.sched {
+                    SchedKind::Fcfs => 1,
+                    SchedKind::FrFcfs => 0,
+                    SchedKind::FrFcfsCap { cap } => {
+                        u8::from(self.served[self.sub_slot(req.rank, req.bank, sa)] >= cap)
+                    }
+                }
             } else {
-                b.miss.push((arrival, pos));
-            }
+                1
+            };
+            b.order.push(merge_key(prio, arrival, pos));
         }
+        b.order.sort_unstable();
         b.fresh = true;
         self.sched.scanned += b.cands.len() as u64;
         self.sched.rebuilds += 1;
-        self.stream_pool = pool;
         *self.index_mut(kind).bucket_mut(slot) = b;
     }
 
@@ -1460,67 +1510,121 @@ impl MemController {
         idx: usize,
         wake: &mut Wake,
     ) -> bool {
-        let req = match kind {
-            ReqKind::Read => self.read_q[idx],
-            ReqKind::Write => self.write_q[idx],
-        };
+        let req = self.queued(kind, idx);
+        match self.request_path(&req) {
+            Some(path) => self.try_path(now, kind, idx, &req, path, wake),
+            None => false,
+        }
+    }
+
+    /// The command an attempt for `req` would try, from the live bank
+    /// state; `None` when the request is held back.
+    fn request_path(&self, req: &MemRequest) -> Option<CmdPath> {
         // While a refresh is draining this rank, hold back the affected
         // requests so the refresh cannot be starved: the whole rank for
         // all-bank refresh, only the target bank in per-bank mode.
-        if self.refresh_pending[req.rank as usize] {
-            let blocked = if self.cfg.per_bank_refresh {
-                req.bank == self.refresh_bank[req.rank as usize] % self.dram_cfg.banks
-            } else {
-                true
-            };
-            if blocked {
-                return false;
-            }
+        if self.refresh_pending[req.rank as usize]
+            && (!self.cfg.per_bank_refresh
+                || req.bank == self.refresh_bank[req.rank as usize] % self.dram_cfg.banks)
+        {
+            return None;
         }
         let sa = self.subarray_of(req.row);
-        if self.serving_activation(&req) {
-            return self.try_column(now, kind, idx, wake);
+        let open = self.channel.subarray_activation(req.rank, req.bank, sa);
+        if open.is_some_and(|act| self.serves(act, req, sa)) {
+            return Some(CmdPath::Column(sa));
         }
         // Row not open. In a maintenance window, leave the bank alone.
         if self.forced_restore.contains(&(req.rank, req.bank, sa)) {
-            return false;
+            return None;
         }
-        let sa_open = self
-            .channel
-            .subarray_activation(req.rank, req.bank, sa)
-            .is_some();
+        let sa_open = open.is_some();
         let bank_conflict =
             !self.dram_cfg.subarray_parallelism && self.channel.open_count(req.rank, req.bank) > 0;
-        if sa_open || bank_conflict {
-            // Conflict: close the blocking row (the open subarray).
-            let victim_sa = if sa_open {
-                sa
-            } else {
-                self.channel
-                    .open_activation(req.rank, req.bank)
-                    .map(|(s, _)| s)
-                    .expect("bank_conflict implies an open activation")
-            };
-            if self
-                .forced_restore
-                .contains(&(req.rank, req.bank, victim_sa))
-            {
-                return false;
-            }
-            if self.try_pre_subarray(now, req.rank, req.bank, victim_sa, false, wake) {
-                self.stats.row_conflicts += 1;
-                return true;
-            }
-            return false;
+        if !sa_open && !bank_conflict {
+            // Bank/subarray closed: activate.
+            let own = self.dram_cfg.subarray_parallelism.then_some(sa);
+            return Some(CmdPath::Act(own));
         }
-        // Bank/subarray closed: activate, honouring the CROW decision.
-        self.try_activate(now, &req, wake)
+        // Conflict: close the blocking row (the open subarray).
+        let victim_sa = if sa_open {
+            sa
+        } else {
+            self.channel
+                .open_activation(req.rank, req.bank)
+                .map(|(s, _)| s)
+                .expect("bank_conflict implies an open activation")
+        };
+        if self
+            .forced_restore
+            .contains(&(req.rank, req.bank, victim_sa))
+        {
+            return None;
+        }
+        Some(CmdPath::Pre(victim_sa))
+    }
+
+    /// Attempts `path` for the request at `idx` of the `kind` queue.
+    fn try_path(
+        &mut self,
+        now: Cycle,
+        kind: ReqKind,
+        idx: usize,
+        req: &MemRequest,
+        path: CmdPath,
+        wake: &mut Wake,
+    ) -> bool {
+        match path {
+            CmdPath::Column(_) => self.try_column(now, kind, idx, wake),
+            CmdPath::Pre(victim_sa) => {
+                let issued = self.try_pre_subarray(now, req.rank, req.bank, victim_sa, false, wake);
+                if issued {
+                    self.stats.row_conflicts += 1;
+                }
+                issued
+            }
+            CmdPath::Act(_) => self.try_activate(now, req, wake),
+        }
+    }
+
+    /// Whether every attempt on `path` in a bank checks the same
+    /// command timing. Column and `PRE` paths do, and so does a
+    /// commodity bank's `ACT`. A subarray's `ACT` does unless a shared
+    /// CROW table can turn it into a restore-first activation of a
+    /// victim in another subarray of the set (paper §6.1).
+    fn path_fixed(&self, path: CmdPath) -> bool {
+        !matches!(path, CmdPath::Act(Some(_))) || !self.shared_table()
+    }
+
+    /// Whether CROW-table entries are shared across subarrays.
+    fn shared_table(&self) -> bool {
+        self.crow
+            .as_ref()
+            .is_some_and(|c| c.config().share_factor > 1)
     }
 
     /// Issues the activation for a request, consulting the CROW substrate.
     fn try_activate(&mut self, now: Cycle, req: &MemRequest, wake: &mut Wake) -> bool {
         let sa = self.subarray_of(req.row);
         let cb = self.crow_bank(req.rank, req.bank);
+        // `ACT` readiness depends only on the target subarray, not on the
+        // activation flavour or its timing modifier, so check it before
+        // the table lookup: most attempts fail here. Only a shared table
+        // can move the target (a restore-first victim in another
+        // subarray), so it keeps the lookup first.
+        if !self.shared_table() {
+            match self.channel.act_ready_at(req.rank, req.bank, sa) {
+                Ok(ready) if ready <= now => {}
+                Ok(ready) => {
+                    wake.note(ready);
+                    return false;
+                }
+                Err(e) => {
+                    wake.note_err(&e);
+                    return false;
+                }
+            }
+        }
         let decision = self
             .crow
             .as_ref()
@@ -1592,9 +1696,11 @@ impl MemController {
             return false;
         }
         self.issue(&d, now, None);
-        // Commit the decision (stats, LRU, installs) now that it issued.
+        // Commit the decision (stats, LRU, installs) now that it issued;
+        // an `ACT` leaves the table untouched, so `decision` is current.
         if let Some(crow) = self.crow.as_mut() {
-            match crow.decide(cb, sa, req.row) {
+            crow.commit_decision(cb, sa, decision);
+            match decision {
                 ActDecision::CopyInstall { copy } => {
                     crow.commit_install(cb, sa, req.row, copy);
                 }
@@ -1616,23 +1722,21 @@ impl MemController {
         }
         // PARA/TRR mitigation baselines sample demand activations.
         self.observe_demand_act(req.rank, req.bank, req.row);
+        let ix = self.sub_slot(req.rank, req.bank, sa);
         if is_restore {
             self.forced_restore
                 .push((req.rank, req.bank, restore_sa.unwrap_or(sa)));
         } else {
             self.stats.row_misses += 1;
-            self.opener.insert((req.rank, req.bank, sa), req.id);
+            self.opener[ix] = Some(req.id);
         }
-        self.served.insert((req.rank, req.bank, sa), 0);
+        self.served[ix] = 0;
         true
     }
 
     /// Issues the column command for a request whose row is open.
     fn try_column(&mut self, now: Cycle, kind: ReqKind, idx: usize, wake: &mut Wake) -> bool {
-        let req = match kind {
-            ReqKind::Read => self.read_q[idx],
-            ReqKind::Write => self.write_q[idx],
-        };
+        let req = self.queued(kind, idx);
         let sa = self.subarray_of(req.row);
         let d = match (kind, self.dram_cfg.subarray_parallelism) {
             (ReqKind::Read, false) => CmdDesc::rd(req.rank, req.bank, req.col),
@@ -1645,14 +1749,14 @@ impl MemController {
             return false;
         }
         let fx = self.issue(&d, now, Some(req.row));
-        *self.served.entry((req.rank, req.bank, sa)).or_insert(0) += 1;
+        let ix = self.sub_slot(req.rank, req.bank, sa);
+        self.served[ix] += 1;
         // Hit/miss accounting: the request that opened the row already
         // counted a miss.
-        match self.opener.get(&(req.rank, req.bank, sa)) {
-            Some(&id) if id == req.id => {
-                self.opener.remove(&(req.rank, req.bank, sa));
-            }
-            _ => self.stats.row_hits += 1,
+        if self.opener[ix] == Some(req.id) {
+            self.opener[ix] = None;
+        } else {
+            self.stats.row_hits += 1;
         }
         match kind {
             ReqKind::Read => {
@@ -1663,6 +1767,7 @@ impl MemController {
                 self.stats.read_latency_sum += latency;
                 self.stats.read_latency_max = self.stats.read_latency_max.max(latency);
                 self.stats.record_latency(latency);
+                self.inflight_next = self.inflight_next.min(done);
                 self.inflight.push((
                     done,
                     Completion {
@@ -1731,10 +1836,10 @@ impl MemController {
 
     /// Index-backed `wanted` test for the row policy: the activation in
     /// (rank, bank, sa) serves some queued request iff either queue's
-    /// hit sublist for that subarray is non-empty. (The linear scan's
+    /// bucket lists `sa` among its hit subarrays. (The linear scan's
     /// `serves_regular` disjunct is subsumed: an open activation always
     /// serves its own regular row, so such a request classifies as a
-    /// hit in exactly this sublist.)
+    /// hit in exactly this subarray.)
     fn wanted_indexed(&mut self, rank: u32, bank: u32, sa: u32) -> bool {
         let slot = self.slot_of(rank, bank);
         for kind in [ReqKind::Read, ReqKind::Write] {
@@ -1742,13 +1847,7 @@ impl MemController {
                 continue;
             }
             self.ensure_bucket_fresh(kind, slot);
-            if self
-                .index(kind)
-                .bucket(slot)
-                .hits
-                .iter()
-                .any(|(s, sub)| *s == sa && !sub.is_empty())
-            {
+            if self.index(kind).bucket(slot).hit_subarrays.contains(&sa) {
                 return true;
             }
         }
@@ -1826,7 +1925,8 @@ impl MemController {
                     let key = (d.rank, d.bank, closed.subarray);
                     Self::drop_tracking_entry(&mut self.open_list, key);
                     Self::drop_tracking_entry(&mut self.forced_restore, key);
-                    self.opener.remove(&key);
+                    let ix = self.sub_slot(d.rank, d.bank, closed.subarray);
+                    self.opener[ix] = None;
                     let cb = d.rank * self.dram_cfg.banks + d.bank;
                     if let (Some(crow), OpenRow::Pair { row, .. }) =
                         (self.crow.as_mut(), closed.open)
@@ -2225,6 +2325,57 @@ mod tests {
         assert_eq!(done.len(), 2);
         // No conflict precharge was needed.
         assert_eq!(mc.stats().row_conflicts, 0);
+    }
+
+    /// With a shared CROW table a restore-first activation targets the
+    /// victim's subarray, which may not be the request's: it issues as
+    /// soon as the victim's subarray is ready, even while the request's
+    /// own subarray is still precharging.
+    #[test]
+    fn shared_table_restore_first_waits_only_for_the_victims_subarray() {
+        let mut dram = DramConfig::tiny_test();
+        // Per-subarray activate readiness, so the two subarrays differ.
+        dram.subarray_parallelism = true;
+        dram.copy_rows_per_subarray = 1;
+        let mut crow_cfg = CrowConfig::tiny_test().with_copy_rows(1);
+        // Subarrays 0 and 1 share one single-way entry set.
+        crow_cfg.share_factor = 2;
+        let mut mc = MemController::new(
+            McConfig::paper_default(),
+            dram,
+            Some(CrowSubstrate::new(crow_cfg)),
+        );
+        mc.attach_validator();
+        // Row 70 of subarray 1 holds the way, not fully restored: the
+        // set's LRU victim.
+        mc.crow_mut().unwrap().commit_install(0, 1, 70, 0);
+        // Subarray 0 is precharged late, so it cannot activate until tRP
+        // after the PRE.
+        let t = mc.channel().config().timings;
+        mc.issue(&CmdDesc::act(0, 0, ActKind::single(10)), 0, None);
+        let pre_at = u64::from(t.tras);
+        mc.issue(&CmdDesc::pre_subarray(0, 0, 0), pre_at, None);
+        let sa0_ready = pre_at + u64::from(t.trp);
+        // Row 5 (subarray 0) misses the set and must restore row 70 first.
+        mc.try_enqueue(read(1, 0, 5, 0)).unwrap();
+        let mut out = Vec::new();
+        let mut now = pre_at + 1;
+        while mc.stats().restore_activations == 0 && now < pre_at + 1_000 {
+            mc.tick(now, &mut out);
+            now += 1;
+        }
+        let issued_at = now - 1;
+        assert_eq!(mc.stats().restore_activations, 1);
+        assert_eq!(mc.channel().stats().issued(Command::ActT), 1);
+        assert!(
+            issued_at < sa0_ready,
+            "restore ACT at {issued_at} waited for the request's subarray (ready at {sa0_ready})"
+        );
+        for c in now..now + 2_000 {
+            mc.tick(c, &mut out);
+        }
+        assert_eq!(out.len(), 1, "the read completes after the restore");
+        mc.channel().validator().expect("attached").assert_clean();
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! every tick. The indexed implementation ([`crate::config::SchedImpl::
 //! Indexed`]) keeps one [`BankBucket`] per (rank, bank) and queue: the
 //! bucket's candidate list is maintained incrementally on enqueue and
-//! dequeue, and its split into row-hit sublists (keyed by subarray) and
-//! a row-miss list is rebuilt lazily, only after a command to that bank
-//! invalidated the classification. Candidate selection then becomes a
-//! k-way merge over per-bank sublists in the *exact* (priority, arrival,
-//! queue-position) order the linear scan produces, so both
-//! implementations issue bit-identical command streams (DESIGN.md
-//! §3.13 has the argument).
+//! dequeue, and its candidates' merge keys — row hits under the
+//! discipline's rules first — are rebuilt lazily, only after a command
+//! to that bank invalidated the classification. Candidate selection then
+//! becomes a k-way merge over per-bank key lists in the *exact*
+//! (priority, arrival, queue-position) order the linear scan produces,
+//! so both implementations issue bit-identical command streams
+//! (DESIGN.md §3.13 has the argument).
 //!
 //! On top of the buckets, the controller memoizes a per-bank readiness
 //! bound (`bank_ready`): when a full scan issues nothing, each
@@ -105,22 +105,30 @@ impl Wake {
     }
 }
 
-/// Stream id of the row-miss sublist in a [`Cursor`] (hit sublists use
-/// their position in [`BankBucket::hits`]).
-pub(crate) const MISS_STREAM: u32 = u32::MAX;
+/// The merge order of a candidate, (priority, arrival, queue position)
+/// compared lexicographically, packed into one integer so the selector
+/// compares heads with a single branch-free comparison.
+pub(crate) fn merge_key(prio: u8, arrival: Cycle, pos: u32) -> u128 {
+    (u128::from(prio) << 96) | (u128::from(arrival) << 32) | u128::from(pos)
+}
 
-/// One merge cursor over a bucket sublist during indexed selection.
+/// The queue position a [`merge_key`] carries.
+pub(crate) fn key_pos(key: u128) -> u32 {
+    key as u32
+}
+
+/// One merge cursor over a bucket's key list during indexed selection.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cursor {
-    /// Scheduling priority of every candidate in the sublist (0 = row
-    /// hit under the discipline's rules, 1 otherwise).
-    pub prio: u8,
+    /// The next unconsumed [`merge_key`], cached so the selector does
+    /// not re-read the bucket on every attempt.
+    pub key: u128,
     /// Bucket slot (`rank * banks + bank`).
     pub slot: u32,
-    /// Sublist: an index into `hits`, or [`MISS_STREAM`].
-    pub stream: u32,
-    /// Next unconsumed element of the sublist.
+    /// Index of `key` in the bucket's [`BankBucket::order`].
     pub next: u32,
+    /// Index of the slot's entry in the scan's readiness-bound list.
+    pub bound: u32,
 }
 
 /// Per-(rank, bank) candidate bucket of one request queue.
@@ -130,35 +138,13 @@ pub(crate) struct BankBucket {
     /// (arrival, position) pairs, kept sorted — the linear scan's exact
     /// intra-priority tie-break.
     pub cands: Vec<(Cycle, u32)>,
-    /// Whether `hits`/`miss` reflect the bank's current row state.
+    /// Whether `order` and `hit_subarrays` reflect the bank's current
+    /// row state and FR-FCFS-Cap counts.
     pub fresh: bool,
-    /// Row-hit sublists keyed by subarray (candidates the subarray's
-    /// open activation can serve), each sorted like `cands`.
-    pub hits: Vec<(u32, Vec<(Cycle, u32)>)>,
-    /// Candidates not served by any open activation, sorted likewise.
-    pub miss: Vec<(Cycle, u32)>,
-}
-
-impl BankBucket {
-    /// Drops the hit/miss split, recycling sublist storage into `pool`.
-    pub fn clear_split(&mut self, pool: &mut Vec<Vec<(Cycle, u32)>>) {
-        for (_, mut v) in self.hits.drain(..) {
-            v.clear();
-            pool.push(v);
-        }
-        self.miss.clear();
-    }
-
-    /// Appends a candidate to the hit sublist of subarray `sa`.
-    pub fn hit_push(&mut self, sa: u32, entry: (Cycle, u32), pool: &mut Vec<Vec<(Cycle, u32)>>) {
-        if let Some((_, v)) = self.hits.iter_mut().find(|(s, _)| *s == sa) {
-            v.push(entry);
-            return;
-        }
-        let mut v = pool.pop().unwrap_or_default();
-        v.push(entry);
-        self.hits.push((sa, v));
-    }
+    /// Every candidate's [`merge_key`], ascending.
+    pub order: Vec<u128>,
+    /// Subarrays whose open activation serves at least one candidate.
+    pub hit_subarrays: Vec<u32>,
 }
 
 /// One request queue's bank index: a [`BankBucket`] per (rank, bank).
@@ -263,6 +249,29 @@ mod tests {
     }
 
     #[test]
+    fn merge_key_orders_like_the_tuple() {
+        let keys = [
+            (0u8, 5u64, 9u32),
+            (0, 5, 10),
+            (0, 6, 0),
+            (0, u64::MAX, u32::MAX),
+            (1, 0, 0),
+            (1, 1 << 40, 3),
+        ];
+        for a in keys {
+            let ka = merge_key(a.0, a.1, a.2);
+            assert_eq!(key_pos(ka), a.2);
+            for b in keys {
+                assert_eq!(
+                    ka.cmp(&merge_key(b.0, b.1, b.2)),
+                    a.cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn wake_tracks_minimum_and_ignores_structural_errors() {
         let mut w = Wake::new();
         assert_eq!(w.at, Cycle::MAX);
@@ -290,20 +299,5 @@ mod tests {
         assert_eq!(ix.bucket(0).cands, vec![(7, 0)]);
         assert_eq!(ix.bucket(1).cands, vec![(6, 1)]);
         assert!(!ix.bucket(0).fresh);
-    }
-
-    #[test]
-    fn bucket_split_recycles_storage() {
-        let mut b = BankBucket::default();
-        let mut pool = Vec::new();
-        b.hit_push(3, (10, 0), &mut pool);
-        b.hit_push(3, (11, 1), &mut pool);
-        b.hit_push(4, (12, 2), &mut pool);
-        assert_eq!(b.hits.len(), 2);
-        b.clear_split(&mut pool);
-        assert_eq!(pool.len(), 2);
-        assert!(b.hits.is_empty());
-        b.hit_push(5, (13, 0), &mut pool);
-        assert_eq!(pool.len(), 1, "sublist storage reused");
     }
 }

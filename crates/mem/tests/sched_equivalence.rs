@@ -14,9 +14,9 @@ use crow_mem::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn controller(cfg: McConfig, dram: DramConfig, with_crow: bool) -> MemController {
-    let crow = with_crow.then(|| CrowSubstrate::new(CrowConfig::tiny_test()));
-    let mut mc = MemController::new(cfg, dram, crow);
+fn controller(cfg: McConfig, dram: DramConfig, crow: Option<CrowConfig>) -> MemController {
+    let with_crow = crow.is_some();
+    let mut mc = MemController::new(cfg, dram, crow.map(CrowSubstrate::new));
     mc.attach_validator();
     if with_crow {
         mc.attach_oracle();
@@ -37,6 +37,18 @@ fn fingerprint(mc: &MemController) -> String {
 /// plus periodic weak-row remaps and hammer disturbance injections,
 /// asserting identical behavior throughout and at drain.
 fn drive(pair: &mut [MemController; 2], requests: usize, seed: u64, label: &str) {
+    drive_hot(pair, requests, seed, label, 1);
+}
+
+/// [`drive`] with the hot row set spread over the first `hot_subarrays`
+/// subarrays of each bank (4 rows each).
+fn drive_hot(
+    pair: &mut [MemController; 2],
+    requests: usize,
+    seed: u64,
+    label: &str,
+    hot_subarrays: u32,
+) {
     let dram = DramConfig::tiny_test();
     let (ranks, banks, rows) = (dram.ranks, dram.banks, dram.rows_per_bank);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -61,7 +73,12 @@ fn drive(pair: &mut [MemController; 2], requests: usize, seed: u64, label: &str)
                 // Skewed row distribution: mostly a hot set (row hits and
                 // conflicts within a subarray), sometimes anywhere.
                 let row = if rng.gen_bool(0.7) {
-                    rng.gen_range(0..4u32)
+                    let sa = if hot_subarrays > 1 {
+                        rng.gen_range(0..hot_subarrays)
+                    } else {
+                        0
+                    };
+                    sa * dram.rows_per_subarray + rng.gen_range(0..4u32)
                 } else {
                     rng.gen_range(0..rows)
                 };
@@ -128,14 +145,17 @@ fn drive(pair: &mut [MemController; 2], requests: usize, seed: u64, label: &str)
 }
 
 fn pair_for(cfg: McConfig, with_crow: bool) -> [MemController; 2] {
-    let dram = DramConfig::tiny_test();
+    pair_with(
+        cfg,
+        DramConfig::tiny_test(),
+        with_crow.then(CrowConfig::tiny_test),
+    )
+}
+
+fn pair_with(cfg: McConfig, dram: DramConfig, crow: Option<CrowConfig>) -> [MemController; 2] {
     [
-        controller(
-            cfg.with_sched_impl(SchedImpl::Indexed),
-            dram.clone(),
-            with_crow,
-        ),
-        controller(cfg.with_sched_impl(SchedImpl::Linear), dram, with_crow),
+        controller(cfg.with_sched_impl(SchedImpl::Indexed), dram.clone(), crow),
+        controller(cfg.with_sched_impl(SchedImpl::Linear), dram, crow),
     ]
 }
 
@@ -198,4 +218,63 @@ fn indexed_matches_linear_without_crow() {
     pair[0].remap_weak_row(0, 7);
     pair[1].remap_weak_row(0, 7);
     drive(&mut pair, 1_000, 0xD1CE, "no-crow");
+}
+
+/// Subarray-level parallelism keeps several rows of a bank open, so the
+/// column, precharge and activate paths are per subarray and the open
+/// row a bank-wide command resolves to is the lowest open subarray. SALP
+/// runs without copy rows (as the SALP baselines do) under the closing
+/// and the open-page policy, and with a CROW table under the default
+/// policy.
+#[test]
+fn indexed_matches_linear_under_subarray_parallelism() {
+    let mut salp = DramConfig::tiny_test();
+    salp.subarray_parallelism = true;
+    let mut plain = salp.clone();
+    plain.copy_rows_per_subarray = 0;
+    for (i, policy) in [RowPolicy::Timeout { cycles: 120 }, RowPolicy::OpenPage]
+        .into_iter()
+        .enumerate()
+    {
+        let mut cfg = McConfig::paper_default();
+        cfg.policy = policy;
+        let mut pair = pair_with(cfg, plain.clone(), None);
+        let label = format!("salp/{policy:?}");
+        drive_hot(&mut pair, 1_200, 0x5A1F + i as u64, &label, 4);
+    }
+    let mut pair = pair_with(
+        McConfig::paper_default(),
+        salp,
+        Some(CrowConfig::tiny_test()),
+    );
+    drive_hot(&mut pair, 1_200, 0x005A_1FC0, "salp/crow", 4);
+}
+
+/// A shared CROW table (one entry set per two subarrays, paper §6.1)
+/// turns some activations into restore-first activations of a victim in
+/// the other subarray of the set, the one case where an activation's
+/// target is not the request's subarray. Under SALP the two subarrays
+/// become ready at different cycles, so two activations of one subarray
+/// can fail differently within a scan; the SALP seeds are ones on which
+/// the indexed scheduler diverges if it reuses such a failure.
+#[test]
+fn indexed_matches_linear_with_a_shared_crow_table() {
+    let mut crow = CrowConfig::tiny_test();
+    crow.share_factor = 2;
+    for (salp, seed) in [
+        (false, 0x5AA2),
+        (true, 0x5AA5),
+        (true, 0x5AA6),
+        (true, 0x5AAC),
+    ] {
+        let mut dram = DramConfig::tiny_test();
+        dram.subarray_parallelism = salp;
+        let mut pair = pair_with(McConfig::paper_default(), dram, Some(crow));
+        let label = format!("shared-table/salp={salp}/seed={seed:#x}");
+        drive_hot(&mut pair, 1_500, seed, &label, 2);
+        assert!(
+            pair[0].stats().restore_activations > 0,
+            "{label}: no restore-first activation exercised"
+        );
+    }
 }
